@@ -649,6 +649,8 @@ DeepEbnnHost::DeepEbnnHost(const DeepEbnnConfig& cfg,
       weights_(std::move(weights)),
       sys_(sys),
       dims_(deep_dims(cfg)),
+      tail_(weights_.fc, cfg_.classes,
+            static_cast<std::size_t>(deep_feature_bits(cfg_))),
       pool_(sys) {
   for (std::size_t b = 0; b < cfg_.blocks.size(); ++b) {
     luts_.push_back(build_bn_binact_lut_range(-dims_[b].taps, dims_[b].taps,
@@ -786,8 +788,7 @@ DeepEbnnBatchResult DeepEbnnHost::finish_batch(
   const std::uint32_t per_dpu = pending.per_dpu;
   const std::size_t feat_words =
       params.result_stride / sizeof(std::uint32_t);
-  const std::size_t feat_bits =
-      static_cast<std::size_t>(deep_feature_bits(cfg_));
+  const std::size_t feat_bits = tail_.features();
 
   DeepEbnnBatchResult out;
   out.dpus_used = pending.n_dpus;
@@ -825,26 +826,13 @@ DeepEbnnBatchResult DeepEbnnHost::finish_batch(
       sim::host_xfer_delta(pending.pool->host_stats(), before);
 
   ht.start();
+  std::vector<float> logits(static_cast<std::size_t>(cfg_.classes));
+  std::vector<float> probs(logits.size());
   for (std::size_t i = 0; i < pending.count; ++i) {
     const std::uint32_t* w = words.data() + i * feat_words;
     std::vector<int> feature(feat_bits);
-    for (std::size_t bit = 0; bit < feat_bits; ++bit) {
-      feature[bit] = static_cast<int>((w[bit / 32] >> (bit % 32)) & 1u);
-    }
-    // FC tail on the host using the reference weights.
-    std::vector<float> logits(static_cast<std::size_t>(cfg_.classes),
-                              0.0f);
-    for (int c = 0; c < cfg_.classes; ++c) {
-      float acc = 0.0f;
-      for (std::size_t b = 0; b < feat_bits; ++b) {
-        acc += weights_.fc[static_cast<std::size_t>(c) * feat_bits + b] *
-               (feature[b] != 0 ? 1.0f : -1.0f);
-      }
-      logits[static_cast<std::size_t>(c)] = acc;
-    }
-    std::vector<float> probs(logits.size());
-    nn::softmax(logits, probs);
-    out.predicted.push_back(static_cast<int>(nn::argmax(probs)));
+    nn::unpack_bits(std::span(w, feat_words), feature);
+    out.predicted.push_back(tail_.infer(feature, logits, probs));
     out.features.push_back(std::move(feature));
   }
   out.host_tail_seconds = ht.elapsed();

@@ -20,6 +20,7 @@
 #include <optional>
 #include <vector>
 
+#include "ebnn/fc_tail.hpp"
 #include "ebnn/host.hpp"
 #include "ebnn/lut.hpp"
 #include "ebnn/model.hpp"
@@ -227,6 +228,8 @@ private:
   DeepEbnnWeights weights_;
   runtime::UpmemConfig sys_;
   std::vector<DeepBlockDims> dims_;
+  /// The per-image host tail (FC + softmax) over gathered feature bits.
+  FcTail tail_;
   std::vector<BnBinactLut> luts_;
   std::uint32_t images_per_dpu_;
   runtime::DpuPool pool_;

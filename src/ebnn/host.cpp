@@ -31,6 +31,8 @@ EbnnHost::EbnnHost(const EbnnConfig& cfg, EbnnWeights weights, BnMode mode,
       layout_(ebnn_layout(cfg)),
       lut_(build_bn_binact_lut(cfg, weights_.bn)),
       reference_(cfg_, weights_),
+      tail_(weights_.fc, cfg_.classes,
+            static_cast<std::size_t>(cfg_.feature_bits())),
       pool_(sys) {}
 
 map::MappingPlan EbnnHost::resolve_batch_plan(runtime::DpuPool& pool,
@@ -156,7 +158,8 @@ EbnnBatchResult EbnnHost::finish_batch(PendingBatch pending,
   const std::uint32_t per_dpu = pending.per_dpu;
   const std::size_t feat_words = static_cast<std::size_t>(cfg_.filters) *
                                  layout_.words_per_filter;
-  const int ppf = cfg_.pool_h() * cfg_.pool_w();
+  const auto filters = static_cast<std::size_t>(cfg_.filters);
+  const auto ppf = static_cast<std::size_t>(cfg_.pool_h() * cfg_.pool_w());
 
   EbnnBatchResult out;
   out.dpus_used = pending.n_dpus;
@@ -196,23 +199,18 @@ EbnnBatchResult EbnnHost::finish_batch(PendingBatch pending,
       sim::host_xfer_delta(pending.pool->host_stats(), before);
 
   ht.start();
+  std::vector<float> logits(static_cast<std::size_t>(cfg_.classes));
+  std::vector<float> probs(logits.size());
   for (std::size_t i = 0; i < pending.count; ++i) {
     const std::uint32_t* w = words.data() + i * feat_words;
-    std::vector<int> feature(static_cast<std::size_t>(cfg_.feature_bits()));
-    for (int f = 0; f < cfg_.filters; ++f) {
-      for (int p = 0; p < ppf; ++p) {
-        const std::uint32_t word =
-            w[static_cast<std::size_t>(f) * layout_.words_per_filter +
-              static_cast<std::size_t>(p) / 32];
-        feature[static_cast<std::size_t>(f) * ppf + p] =
-            static_cast<int>((word >> (p % 32)) & 1u);
-      }
+    std::vector<int> feature(tail_.features());
+    for (std::size_t f = 0; f < filters; ++f) {
+      nn::unpack_bits(
+          std::span(w + f * layout_.words_per_filter,
+                    layout_.words_per_filter),
+          std::span(feature).subspan(f * ppf, ppf));
     }
-    std::vector<float> logits;
-    std::vector<float> probs;
-    int predicted = -1;
-    reference_.infer_tail(feature, logits, probs, predicted);
-    out.predicted.push_back(predicted);
+    out.predicted.push_back(tail_.infer(feature, logits, probs));
     out.features.push_back(std::move(feature));
   }
   out.host_tail_seconds = ht.elapsed();

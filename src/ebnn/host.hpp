@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "ebnn/dpu_kernel.hpp"
+#include "ebnn/fc_tail.hpp"
 #include "ebnn/model.hpp"
 #include "map/plan.hpp"
 #include "obs/timeline.hpp"
@@ -191,6 +192,8 @@ private:
   EbnnLayout layout_;
   BnBinactLut lut_;
   EbnnReference reference_;
+  /// The per-image host tail (FC + softmax) over gathered feature bits.
+  FcTail tail_;
   runtime::DpuPool pool_;
   /// Second bank for run_pipelined, created on first use.
   std::optional<runtime::DpuPool> pool_alt_;

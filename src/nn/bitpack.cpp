@@ -1,5 +1,8 @@
 #include "nn/bitpack.hpp"
 
+#include <array>
+#include <cstring>
+
 #include "common/error.hpp"
 #include "common/fixed_point.hpp"
 
@@ -24,6 +27,41 @@ std::vector<std::uint32_t> bitpack_bits(std::span<const int> bits) {
     }
   }
   return out;
+}
+
+namespace {
+
+/// The eight {0,1} ints of every byte value, LSB first: unpacking copies
+/// one row per byte instead of shifting out each bit.
+using ByteBits = std::array<std::array<int, 8>, 256>;
+
+constexpr ByteBits make_byte_bits() {
+  ByteBits t{};
+  for (unsigned v = 0; v < 256; ++v) {
+    for (unsigned b = 0; b < 8; ++b) {
+      t[v][b] = static_cast<int>((v >> b) & 1u);
+    }
+  }
+  return t;
+}
+
+constexpr ByteBits kByteBits = make_byte_bits();
+
+} // namespace
+
+void unpack_bits(std::span<const std::uint32_t> packed, std::span<int> bits) {
+  if (words_for_bits(bits.size()) > packed.size()) {
+    throw UsageError("unpack_bits: packed vector too small");
+  }
+  const std::size_t n = bits.size();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const unsigned byte = (packed[i / 32] >> (i % 32)) & 0xffu;
+    std::memcpy(&bits[i], kByteBits[byte].data(), sizeof(kByteBits[byte]));
+  }
+  for (; i < n; ++i) {
+    bits[i] = static_cast<int>((packed[i / 32] >> (i % 32)) & 1u);
+  }
 }
 
 int bit_at(std::span<const std::uint32_t> packed, std::size_t i) {

@@ -20,6 +20,10 @@ std::vector<std::uint32_t> bitpack_signs(std::span<const float> values);
 /// Packs explicit {0,1} bits.
 std::vector<std::uint32_t> bitpack_bits(std::span<const int> bits);
 
+/// Unpacks the first `bits.size()` bits of `packed` into `bits` as {0,1}
+/// (the inverse of bitpack_bits).
+void unpack_bits(std::span<const std::uint32_t> packed, std::span<int> bits);
+
 /// Extracts bit `i` from a packed vector.
 int bit_at(std::span<const std::uint32_t> packed, std::size_t i);
 

@@ -34,7 +34,7 @@ void StagingArena::release(std::vector<std::uint8_t>&& buf) {
   }
   buf.clear();
   std::lock_guard<std::mutex> lk(mu_);
-  if (free_.size() < kMaxFree) {
+  if (free_.size() < max_free_) {
     free_.push_back(std::move(buf));
   }
 }
@@ -59,7 +59,7 @@ MemSize mram_footprint(const sim::DpuProgram& prog, MemSize base) {
 } // namespace
 
 DpuPool::DpuPool(const UpmemConfig& cfg)
-    : cfg_(cfg), sim_mode_(default_sim_mode()) {}
+    : cfg_(cfg), sim_mode_(default_sim_mode()), arena_(cfg.total_dpus) {}
 
 void DpuPool::set_sim_mode(SimMode mode) {
   sim_mode_ = mode;

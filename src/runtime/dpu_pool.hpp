@@ -70,14 +70,19 @@ namespace pimdnn::runtime {
 /// churn. The arena keeps a bounded LIFO free list: `acquire` hands back a
 /// zeroed buffer (reusing a freed one whose capacity already suffices —
 /// counted in the obs counters `pool.arena.hit` / `pool.arena.miss`), and
-/// `release` returns it. Because the acquire/release sequence of a warm
-/// frame is deterministic and capacities only grow, the free list reaches
-/// a fixed point after at most two warm frames and steady-state frames do
-/// zero allocations on this path. Thread-safe: pipelined frame drivers on
+/// `release` returns it. The bound is the pool's DPU count, so the
+/// one-buffer-per-DPU staging of a launch spanning the whole system still
+/// fits. Because the acquire/release sequence of a warm frame is
+/// deterministic and capacities only grow, the free list reaches a fixed
+/// point after at most two warm frames and steady-state frames do zero
+/// allocations on this path. Thread-safe: pipelined frame drivers on
 /// different banks share one pool object per bank but an arena may also be
 /// shared across sessions in flight.
 class StagingArena {
 public:
+  /// An arena keeping at most `max_free` released buffers.
+  explicit StagingArena(std::size_t max_free) : max_free_(max_free) {}
+
   /// A zero-filled buffer of exactly `bytes` bytes.
   std::vector<std::uint8_t> acquire(std::size_t bytes);
 
@@ -86,7 +91,7 @@ public:
 
 private:
   /// Free-list bound: past this, released buffers are simply freed.
-  static constexpr std::size_t kMaxFree = 256;
+  const std::size_t max_free_;
 
   std::mutex mu_;
   std::vector<std::vector<std::uint8_t>> free_;

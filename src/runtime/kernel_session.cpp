@@ -1,6 +1,8 @@
 #include "runtime/kernel_session.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -343,20 +345,38 @@ void KernelSession::scatter_items(
 }
 
 Cycles KernelSession::default_deadline_cycles() {
-  static const Cycles cached = [] {
-    const char* env = std::getenv("PIMDNN_DEADLINE");
-    if (env == nullptr || env[0] == '\0') {
-      return static_cast<Cycles>(0);
-    }
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 0);
-    if (end == nullptr || *end != '\0') {
-      throw ConfigError(std::string("PIMDNN_DEADLINE: bad cycle count '") +
-                        env + "'");
-    }
-    return static_cast<Cycles>(v);
-  }();
+  static const Cycles cached =
+      parse_deadline_cycles(std::getenv("PIMDNN_DEADLINE"));
   return cached;
+}
+
+Cycles KernelSession::parse_deadline_cycles(const char* text) {
+  if (text == nullptr || text[0] == '\0') {
+    return 0;
+  }
+  const auto bad = [text](const char* why) {
+    return ConfigError(std::string("PIMDNN_DEADLINE: bad cycle count '") +
+                       text + "'" + why);
+  };
+  // strtoull skips leading blanks and then negates a '-'-signed value
+  // modulo 2^64, which would turn "-1" into an unbounded deadline.
+  const char* first = text;
+  while (std::isspace(static_cast<unsigned char>(*first)) != 0) {
+    ++first;
+  }
+  if (*first == '-') {
+    throw bad(" (must not be negative)");
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(text, &end, 0);
+  if (errno == ERANGE) {
+    throw bad(" (out of range)");
+  }
+  if (end == text || *end != '\0') {
+    throw bad("");
+  }
+  return static_cast<Cycles>(v);
 }
 
 bool KernelSession::launch(const LaunchOptions& opts) {

@@ -164,6 +164,11 @@ public:
   /// Throws ConfigError on a malformed value, naming it.
   static Cycles default_deadline_cycles();
 
+  /// Parses a PIMDNN_DEADLINE value: a cycle count in decimal, hex (0x)
+  /// or octal (0); null or empty means 0. Throws ConfigError naming the
+  /// value on trailing junk, a minus sign or a count past 2^64-1.
+  static Cycles parse_deadline_cycles(const char* text);
+
   /// True once the session rerouted this offload to the CPU path.
   bool degraded() const { return degraded_; }
 

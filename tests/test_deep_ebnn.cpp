@@ -1,11 +1,17 @@
 // Multi-block (deep) eBNN tests: geometry validation, reference sanity,
-// DPU-vs-golden bit-exactness across depths, WRAM-derived capacity, and
-// determinism.
+// DPU-vs-golden bit-exactness across depths, WRAM-derived capacity,
+// determinism, and the bit-identity of the host FC tail (FcTail) with the
+// golden FC loop on a deep feature map.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "ebnn/deep.hpp"
+#include "ebnn/fc_tail.hpp"
 #include "ebnn/mnist_synth.hpp"
+#include "nn/layers.hpp"
 
 namespace pimdnn::ebnn {
 namespace {
@@ -98,6 +104,48 @@ TEST_P(DeepDpuAgreement, DpuMatchesGoldenModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Depths, DeepDpuAgreement, ::testing::Values(1, 2, 3));
+
+TEST(DeepFcTail, BitIdenticalToGoldenLoop) {
+  const auto cfg = depth_config(2, 6);
+  const auto w = DeepEbnnWeights::random(cfg, 71);
+  const auto n = static_cast<std::size_t>(deep_feature_bits(cfg));
+  const auto n_classes = static_cast<std::size_t>(cfg.classes);
+  const FcTail tail(w.fc, cfg.classes, n);
+  Rng rng(72);
+  std::vector<std::vector<int>> maps = {std::vector<int>(n, 0),
+                                        std::vector<int>(n, 1)};
+  for (int m = 0; m < 16; ++m) {
+    std::vector<int> bits(n);
+    for (auto& b : bits) b = static_cast<int>(rng.next_u32() & 1u);
+    maps.push_back(std::move(bits));
+  }
+  std::vector<float> logits(n_classes), probs(n_classes);
+  for (std::size_t m = 0; m < maps.size(); ++m) {
+    // The golden FC loop (class outer, feature inner, ternary sign) as
+    // DeepEbnnReference::infer runs it.
+    std::vector<float> want(n_classes);
+    for (std::size_t c = 0; c < n_classes; ++c) {
+      float acc = 0.0f;
+      for (std::size_t i = 0; i < n; ++i) {
+        acc += w.fc[c * n + i] * (maps[m][i] != 0 ? 1.0f : -1.0f);
+      }
+      want[c] = acc;
+    }
+    std::vector<float> want_probs(n_classes);
+    nn::softmax(want, want_probs);
+    const int predicted = tail.infer(maps[m], logits, probs);
+    EXPECT_EQ(std::memcmp(logits.data(), want.data(),
+                          n_classes * sizeof(float)),
+              0)
+        << "map " << m;
+    EXPECT_EQ(std::memcmp(probs.data(), want_probs.data(),
+                          n_classes * sizeof(float)),
+              0)
+        << "map " << m;
+    EXPECT_EQ(predicted, static_cast<int>(nn::argmax(want_probs)))
+        << "map " << m;
+  }
+}
 
 TEST(DeepHost, CapacityShrinksWithWidth) {
   const auto narrow = DeepEbnnHost(depth_config(2, 4),

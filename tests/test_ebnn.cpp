@@ -1,16 +1,21 @@
 // eBNN tests: LUT construction (Algorithm 1), golden model self-checks,
 // DPU-vs-reference bit-exact agreement in both BN modes, host orchestration
 // (batching, padding, tasklet sweep), subroutine-profile shape (Fig 4.3),
-// and the LUT speedup (Fig 4.4).
+// the LUT speedup (Fig 4.4), and the bit-identity of the host FC tail
+// (FcTail) with the golden FC loop.
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "common/rng.hpp"
 #include "ebnn/dpu_kernel.hpp"
+#include "ebnn/fc_tail.hpp"
 #include "ebnn/host.hpp"
 #include "ebnn/lut.hpp"
 #include "ebnn/mnist_synth.hpp"
 #include "ebnn/train.hpp"
 #include "ebnn/model.hpp"
+#include "nn/layers.hpp"
 
 namespace pimdnn::ebnn {
 namespace {
@@ -281,6 +286,123 @@ TEST(EbnnHost, PartialLastDpuBatch) {
   ASSERT_EQ(r.predicted.size(), 17u);
   const auto golden = ref.infer(data[16].pixels.data());
   EXPECT_EQ(r.predicted[16], golden.predicted);
+}
+
+// ---- host FC tail ----------------------------------------------------------
+
+/// The golden models' FC loop (class outer, feature inner, ternary sign),
+/// kept here as the oracle FcTail must match bit for bit.
+std::vector<float> golden_fc_logits(const std::vector<float>& fc, int classes,
+                                    const std::vector<int>& feature) {
+  const std::size_t n = feature.size();
+  std::vector<float> logits(static_cast<std::size_t>(classes));
+  for (int c = 0; c < classes; ++c) {
+    float acc = 0.0f;
+    for (std::size_t i = 0; i < n; ++i) {
+      const float v = feature[i] != 0 ? 1.0f : -1.0f;
+      acc += fc[static_cast<std::size_t>(c) * n + i] * v;
+    }
+    logits[static_cast<std::size_t>(c)] = acc;
+  }
+  return logits;
+}
+
+/// Runs FcTail and the oracle on random, all-zero and all-one feature maps
+/// and expects bitwise-equal logits and probabilities and equal argmax.
+void expect_tail_matches_golden(const std::vector<float>& fc, int classes,
+                                std::size_t n_features, std::uint64_t seed) {
+  const FcTail tail(fc, classes, n_features);
+  Rng rng(seed);
+  std::vector<std::vector<int>> maps = {std::vector<int>(n_features, 0),
+                                        std::vector<int>(n_features, 1)};
+  for (int m = 0; m < 16; ++m) {
+    std::vector<int> bits(n_features);
+    for (auto& b : bits) b = static_cast<int>(rng.next_u32() & 1u);
+    maps.push_back(std::move(bits));
+  }
+  const auto n_classes = static_cast<std::size_t>(classes);
+  std::vector<float> logits(n_classes), probs(n_classes);
+  for (std::size_t m = 0; m < maps.size(); ++m) {
+    const std::vector<float> want = golden_fc_logits(fc, classes, maps[m]);
+    std::vector<float> want_probs(n_classes);
+    nn::softmax(want, want_probs);
+    const int predicted = tail.infer(maps[m], logits, probs);
+    EXPECT_EQ(std::memcmp(logits.data(), want.data(),
+                          n_classes * sizeof(float)),
+              0)
+        << "classes=" << classes << " map " << m;
+    EXPECT_EQ(std::memcmp(probs.data(), want_probs.data(),
+                          n_classes * sizeof(float)),
+              0)
+        << "classes=" << classes << " map " << m;
+    EXPECT_EQ(predicted, static_cast<int>(nn::argmax(want_probs)))
+        << "classes=" << classes << " map " << m;
+  }
+}
+
+TEST(FcTail, BitIdenticalToGoldenLoopOnEbnnConfig) {
+  const EbnnConfig cfg;
+  const auto n = static_cast<std::size_t>(cfg.feature_bits());
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    const auto w = EbnnWeights::random(cfg, seed);
+    expect_tail_matches_golden(w.fc, cfg.classes, n, seed + 100);
+  }
+}
+
+TEST(FcTail, BitIdenticalAcrossClassGroupPadding) {
+  // 16 classes fill one accumulator group; other counts pad a group or
+  // need several passes.
+  Rng rng(5);
+  for (int classes : {1, 15, 16, 17, 40}) {
+    for (std::size_t n : {1u, 31u, 200u}) {
+      std::vector<float> fc(static_cast<std::size_t>(classes) * n);
+      for (auto& v : fc) v = static_cast<float>(rng.normal(0.0, 0.1));
+      expect_tail_matches_golden(fc, classes, n, n);
+    }
+  }
+}
+
+TEST(FcTail, AgreesWithReferenceInferTail) {
+  const EbnnConfig cfg;
+  const auto w = EbnnWeights::random(cfg, 9);
+  const EbnnReference ref(cfg, w);
+  const FcTail tail(w.fc, cfg.classes,
+                    static_cast<std::size_t>(cfg.feature_bits()));
+  for (const auto& li : make_synthetic_mnist(8, 10)) {
+    const EbnnActivations a = ref.infer(li.pixels.data());
+    std::vector<float> logits(a.logits.size()), probs(a.probs.size());
+    EXPECT_EQ(tail.infer(a.feature, logits, probs), a.predicted);
+    EXPECT_EQ(logits, a.logits);
+    EXPECT_EQ(probs, a.probs);
+  }
+}
+
+TEST(FcTail, RejectsMismatchedShapes) {
+  const std::vector<float> fc(3 * 4, 0.5f);
+  EXPECT_THROW(FcTail(fc, 3, 5), UsageError);
+  EXPECT_THROW(FcTail(fc, 0, 4), UsageError);
+  const FcTail tail(fc, 3, 4);
+  std::vector<float> logits(3), probs(3), short_buf(2);
+  EXPECT_THROW(tail.infer(std::vector<int>(5, 1), logits, probs), UsageError);
+  EXPECT_THROW(tail.infer(std::vector<int>(4, 1), short_buf, probs),
+               UsageError);
+}
+
+TEST(EbnnHost, PaperConfigMatchesGoldenModelUnderAutoMapping) {
+  // The full 16-filter eBNN (2,704 feature bits) through the mapper's
+  // choice, so the host tail runs on the paper's feature width.
+  const EbnnConfig cfg;
+  const auto w = EbnnWeights::random(cfg, 23);
+  const EbnnReference ref(cfg, w);
+  const auto data = make_synthetic_mnist(40, 33);
+  EbnnHost host(cfg, w, BnMode::HostLut);
+  const auto r = host.run(images_only(data));
+  ASSERT_EQ(r.predicted.size(), data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const auto golden = ref.infer(data[i].pixels.data());
+    EXPECT_EQ(r.features[i], golden.feature) << "image " << i;
+    EXPECT_EQ(r.predicted[i], golden.predicted) << "image " << i;
+  }
 }
 
 TEST(EbnnLayout, StridesAreXferAligned) {

@@ -4,8 +4,8 @@
 // BadDpu), pool-level reintegration through maintain(), the MRAM scrub
 // patrol repairing silent resident corruption, KernelSession watchdog
 // deadlines (sync + async), the session-level breaker short-circuit, the
-// PIMDNN_FAULTS parse diagnostics, and interp/fast equivalence of the
-// health decision log.
+// PIMDNN_FAULTS and PIMDNN_DEADLINE parse diagnostics, and interp/fast
+// equivalence of the health decision log.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -456,6 +456,40 @@ TEST_F(HealthTest, FaultParseErrorsNameTheOffendingToken) {
   EXPECT_NE(what("launch=0.1,,hang=0.2")
                 .find("empty term in 'launch=0.1,,hang=0.2'"),
             std::string::npos);
+}
+
+// ---- PIMDNN_DEADLINE parsing ------------------------------------------------
+
+TEST_F(HealthTest, DeadlineParseAcceptsCycleCounts) {
+  EXPECT_EQ(KernelSession::parse_deadline_cycles(nullptr), 0u);
+  EXPECT_EQ(KernelSession::parse_deadline_cycles(""), 0u);
+  EXPECT_EQ(KernelSession::parse_deadline_cycles("0"), 0u);
+  EXPECT_EQ(KernelSession::parse_deadline_cycles("250000"), 250'000u);
+  EXPECT_EQ(KernelSession::parse_deadline_cycles("0x100"), 256u);
+  EXPECT_EQ(KernelSession::parse_deadline_cycles("18446744073709551615"),
+            ~Cycles{0});
+}
+
+TEST_F(HealthTest, DeadlineParseRejectsNegativeOverflowAndJunk) {
+  auto what = [](const char* text) {
+    try {
+      KernelSession::parse_deadline_cycles(text);
+    } catch (const ConfigError& e) {
+      return std::string(e.what());
+    }
+    return std::string("<no throw>");
+  };
+  // strtoull alone would wrap these to 2^64-1 and disable the watchdog.
+  EXPECT_NE(what("-1").find("PIMDNN_DEADLINE: bad cycle count '-1' (must "
+                            "not be negative)"),
+            std::string::npos);
+  EXPECT_NE(what("  -5").find("bad cycle count '  -5' (must not be negative)"),
+            std::string::npos);
+  EXPECT_NE(what("18446744073709551616")
+                .find("bad cycle count '18446744073709551616' (out of range)"),
+            std::string::npos);
+  EXPECT_NE(what("12abc").find("bad cycle count '12abc'"), std::string::npos);
+  EXPECT_NE(what(" ").find("bad cycle count ' '"), std::string::npos);
 }
 
 // ---- interp/fast equivalence of health decisions ---------------------------

@@ -295,6 +295,21 @@ TEST(Bitpack, BinaryDotMatchesScalar) {
   }
 }
 
+TEST(Bitpack, UnpackInvertsPack) {
+  Rng rng(78);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + rng.next_u32() % 100; // byte and word tails
+    std::vector<int> bits(n);
+    for (auto& v : bits) v = static_cast<int>(rng.next_u32() & 1);
+    std::vector<int> back(n, -1);
+    unpack_bits(bitpack_bits(bits), back);
+    EXPECT_EQ(back, bits) << "n=" << n;
+  }
+  std::vector<int> too_many(33);
+  EXPECT_THROW(unpack_bits(std::vector<std::uint32_t>(1), too_many),
+               UsageError);
+}
+
 TEST(Quantize, RoundTripWithinOneLsb) {
   Rng rng(88);
   std::vector<float> x(100);

@@ -2,8 +2,9 @@
 // independence of the staged GEMM kernel, program-cache activation
 // lifecycle, MRAM region disjointness across cached programs, resident
 // weight tracking, warm-frame reuse through the pooled GEMM and the
-// YoloRunner, rows-per-DPU network coverage, and activation-lifetime
-// output retention.
+// YoloRunner, rows-per-DPU network coverage, activation-lifetime
+// output retention, and staging-arena reuse on launches wider than 256
+// DPUs.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -12,8 +13,10 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "nn/gemm.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/dpu_pool.hpp"
 #include "runtime/dpu_set.hpp"
+#include "runtime/kernel_session.hpp"
 #include "yolo/config.hpp"
 #include "yolo/detect.hpp"
 #include "yolo/dpu_gemm.hpp"
@@ -129,6 +132,37 @@ TEST(Pool, ActivationLifecycle) {
   const auto h = pool.host_stats();
   EXPECT_EQ(h.program_loads, 3u);      // fresh a, fresh b, switch back to a
   EXPECT_EQ(h.cached_activations, 2u); // one Active + one Switched
+}
+
+TEST(Pool, WarmLaunchWiderThan256DpusMissesNoArenaBuffer) {
+  // Scatter and gather stage one buffer per DPU; the arena's free list
+  // must keep them all, or every warm launch reallocates the excess.
+  constexpr std::uint32_t kDpus = 300;
+  DpuPool pool;
+  const auto build = [] { return tiny_program("wide", "data"); };
+  const auto launch = [&] {
+    runtime::KernelSession s(pool, "wide", kDpus, build);
+    s.scatter("data", 8, [](std::uint32_t d, std::uint8_t* slot) {
+      std::memcpy(slot, &d, sizeof(d));
+    });
+    ASSERT_TRUE(s.launch(1));
+    std::uint32_t sum = 0;
+    s.gather_items("data", kDpus, 1, 8,
+                   [&](std::size_t, const std::uint8_t* slot) {
+                     std::uint32_t d = 0;
+                     std::memcpy(&d, slot, sizeof(d));
+                     sum += d;
+                   });
+    EXPECT_EQ(sum, kDpus * (kDpus - 1) / 2);
+    s.finish();
+  };
+  launch(); // warm-up: fills the free list
+  auto& m = obs::Metrics::instance();
+  m.reset();
+  launch();
+  EXPECT_EQ(m.counter("pool.arena.miss"), 0u);
+  EXPECT_GE(m.counter("pool.arena.hit"), 2u * kDpus);
+  m.reset();
 }
 
 TEST(Pool, MramRegionsDisjointAcrossCachedPrograms) {
