@@ -22,12 +22,12 @@ int main() {
     p.name = "dma";
     p.symbols = {{"src", MemKind::Mram, 4096},
                  {"dst", MemKind::Wram, 4096}};
-    p.entry = [&](TaskletCtx& ctx) {
+    p.phases = {[&](TaskletCtx& ctx) {
       auto dst = ctx.wram_span<std::uint8_t>("dst");
       ctx.perfcounter_config();
       ctx.mram_read(dst.data(), ctx.mram_addr("src"), bytes);
       measured = ctx.perfcounter_get();
-    };
+    }};
     dpu.load(p);
     dpu.launch(1, OptLevel::O3);
     t.row({Table::num(std::uint64_t{bytes}),

@@ -19,7 +19,7 @@ int main() {
   DpuProgram p;
   p.name = "float_mix";
   p.symbols = {{"data", MemKind::Wram, 512}};
-  p.entry = [](TaskletCtx& ctx) {
+  p.phases = {[](TaskletCtx& ctx) {
     // A small iterative computation: normalize 32 values, accumulate a
     // running float mean, and compare against a threshold — the kind of
     // mix a naively ported kernel contains.
@@ -39,7 +39,7 @@ int main() {
         (void)ctx.dmul(static_cast<double>(i), 3.14159); // __muldf3
       }
     }
-  };
+  }};
   dpu.load(p);
   const auto stats = dpu.launch(2, OptLevel::O0);
 

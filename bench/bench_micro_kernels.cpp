@@ -96,7 +96,7 @@ void BM_DpuLaunchOverhead(benchmark::State& state) {
   sim::DpuProgram p;
   p.name = "noop";
   p.symbols = {{"w", sim::MemKind::Wram, 8}};
-  p.entry = [](sim::TaskletCtx& ctx) { ctx.charge_alu(1); };
+  p.phases = {[](sim::TaskletCtx& ctx) { ctx.charge_alu(1); }};
   dpu.load(p);
   for (auto _ : state) {
     benchmark::DoNotOptimize(dpu.launch(11, sim::OptLevel::O3).cycles);

@@ -23,12 +23,12 @@ Cycles profile_op(const std::function<void(TaskletCtx&)>& op) {
   DpuProgram p;
   p.name = "profile";
   p.symbols = {{"scratch", MemKind::Wram, 64}};
-  p.entry = [&](TaskletCtx& ctx) {
+  p.phases = {[&](TaskletCtx& ctx) {
     ctx.perfcounter_config();
     ctx.charge_alu(5); // perfcounter reads + operand staging at -O0
     op(ctx);
     measured = ctx.perfcounter_get();
-  };
+  }};
   dpu.load(p);
   dpu.launch(1, OptLevel::O0);
   return measured;

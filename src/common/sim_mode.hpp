@@ -1,22 +1,26 @@
 // Simulator execution-mode selection (PIMDNN_SIM_MODE).
 //
-// The simulator has two ways to execute a non-barrier kernel body:
+// The simulator has two executors for a kernel launch:
 //
-//  * `interp` (default) — the per-operation interpreted path: every add,
-//    xor, popcount and soft-float call goes through TaskletCtx, which
-//    computes the value and charges the cost model as it goes.
-//  * `fast` — a batched functional evaluator: programs that provide a
-//    `DpuProgram::fast_entry` compute the same memory effects with native
-//    host arithmetic (soft-float results still route through the bit-exact
-//    soft-float library) and apply the identical charges in closed form.
+//  * `interp` (default) — the reference: every add, xor, popcount and
+//    soft-float call goes through TaskletCtx, which computes the value and
+//    charges the cost model as it goes. A multi-phase (barrier) program
+//    runs each tasklet on its own host thread, meeting on a real barrier
+//    between phases.
+//  * `fast` — everything runs on the calling thread. A multi-phase program
+//    runs phase by phase (each phase for every tasklet, then the next);
+//    programs that provide a `DpuProgram::fast_entry` twin compute the same
+//    memory effects with native host arithmetic (soft-float results still
+//    route through the bit-exact soft-float library) and apply the
+//    identical charges in closed form.
 //    The contract — bit-exact memory, cycle-exact DpuRunStats — is enforced
 //    by the dual-run cross-check tests (tests/test_fast_mode.cpp).
 //
-// Barrier programs and programs without a fast twin always interpret,
-// whatever the mode. The process default comes from the PIMDNN_SIM_MODE
-// environment variable and can be overridden programmatically (benches run
-// both modes in one process); DpuSet/DpuPool snapshot the default at
-// construction and expose per-instance setters.
+// Single-phase programs without a fast twin run identically in both
+// modes. The process default comes from the PIMDNN_SIM_MODE environment
+// variable and can be overridden programmatically (benches run both modes
+// in one process); DpuSet/DpuPool snapshot the default at construction
+// and expose per-instance setters.
 #pragma once
 
 #include <cstdint>
@@ -24,10 +28,10 @@
 
 namespace pimdnn {
 
-/// How a Dpu::launch executes non-barrier kernel bodies.
+/// Which executor a Dpu::launch uses (see file comment).
 enum class SimMode : std::uint8_t {
-  Interp, ///< per-operation interpreted execution (default)
-  Fast,   ///< batched functional evaluation with closed-form charging
+  Interp, ///< reference: threaded barriers, per-op interpretation (default)
+  Fast,   ///< one thread, phase-major; fast twins where provided
 };
 
 /// Printable name ("interp"/"fast").

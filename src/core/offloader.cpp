@@ -97,7 +97,7 @@ sim::DpuProgram Offloader::build_program() const {
   const MemSize in_stride = in_stride_;
   const MemSize out_stride = out_stride_;
   const ItemKernel kernel = kernel_;
-  prog.entry = [spec, in_stride, out_stride, kernel](TaskletCtx& ctx) {
+  prog.phases = {[spec, in_stride, out_stride, kernel](TaskletCtx& ctx) {
     require(ctx.n_tasklets() <= spec.items_per_dpu,
             "offload kernel: tasklets exceed item slots");
     auto meta = ctx.wram_span<std::uint64_t>("meta");
@@ -132,7 +132,7 @@ sim::DpuProgram Offloader::build_program() const {
       chunked_write(ctx, out_base + item * out_stride, out_slot,
                     spec.item_out_bytes);
     }
-  };
+  }};
   return prog;
 }
 

@@ -573,7 +573,7 @@ sim::DpuProgram make_deep_program(const DeepKernelParams& p,
       {"conv_buf", MemKind::Wram, p.capacity * p.conv_elems * 2},
       {"feat_buf", MemKind::Wram, p.capacity * p.result_stride},
   };
-  prog.entry = [p](TaskletCtx& ctx) { deep_tasklet(ctx, p); };
+  prog.phases = {[p](TaskletCtx& ctx) { deep_tasklet(ctx, p); }};
   prog.fast_entry = [p](TaskletCtx& ctx) { deep_tasklet_fast(ctx, p); };
   return prog;
 }

@@ -491,7 +491,7 @@ sim::DpuProgram make_ebnn_program(const EbnnConfig& cfg, BnMode mode,
   }
 
   KernelParams params{cfg, mode, kernel, layout, cfg.conv_min()};
-  prog.entry = [params](TaskletCtx& ctx) { ebnn_tasklet(ctx, params); };
+  prog.phases = {[params](TaskletCtx& ctx) { ebnn_tasklet(ctx, params); }};
   prog.fast_entry = [params](TaskletCtx& ctx) {
     ebnn_tasklet_fast(ctx, params);
   };

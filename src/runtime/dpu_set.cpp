@@ -19,10 +19,11 @@ using sim::FaultKind;
 
 namespace {
 
-/// Routes the concurrent tasklet bodies of barrier launches onto the
-/// global HostPool's persistent lanes instead of the simulator's default
-/// thread-per-tasklet fallback. Installed once, the first time the runtime
-/// allocates a set (sim cannot depend on runtime, hence the hook).
+/// Routes the concurrent tasklet bodies of interpreted multi-phase
+/// launches onto the global HostPool's persistent lanes instead of the
+/// simulator's default thread-per-tasklet fallback. Installed once, the
+/// first time the runtime allocates a set (sim cannot depend on runtime,
+/// hence the hook).
 void install_barrier_runner() {
   static std::once_flag once;
   std::call_once(once, [] {

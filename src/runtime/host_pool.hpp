@@ -109,16 +109,16 @@ public:
                     const std::function<void(std::uint32_t)>& body);
 
   /// Runs body(0..n-1) with every index on its own concurrently-running
-  /// thread — the primitive behind barrier-program launches, whose tasklet
-  /// bodies block on each other and therefore cannot share the helping task
-  /// queue (a tasklet helped onto another tasklet's stack would deadlock a
-  /// multi-phase barrier). Indices 1..n-1 run on persistent "lane" threads:
-  /// lanes are created on demand, counted in `hostpool.threads_created`,
-  /// and reused by later calls, so warm barrier launches create zero
-  /// threads. The calling thread runs index 0. The first exception in index
-  /// order is rethrown after every index finished. Lanes exist regardless
-  /// of the worker count: even a zero-worker pool must run barrier groups
-  /// concurrently.
+  /// thread — the primitive behind interpreted multi-phase (barrier)
+  /// launches, whose tasklet bodies block on each other and therefore
+  /// cannot share the helping task queue (a tasklet helped onto another
+  /// tasklet's stack would deadlock a multi-phase barrier). Indices 1..n-1
+  /// run on persistent "lane" threads: lanes are created on demand,
+  /// counted in `hostpool.threads_created`, and reused by later calls, so
+  /// warm barrier launches create zero threads. The calling thread runs
+  /// index 0. The first exception in index order is rethrown after every
+  /// index finished. Lanes exist regardless of the worker count: even a
+  /// zero-worker pool must run barrier groups concurrently.
   void run_exclusive(std::uint32_t n,
                      const std::function<void(std::uint32_t)>& body);
 

@@ -80,7 +80,8 @@ public:
   /// Slots for a call/return pair (argument marshalling included).
   unsigned call_overhead() const { return 5; }
 
-  /// Slots for one `barrier_wait()` statement: the SDK's barrier is an
+  /// Slots for one `barrier_wait()` statement, charged to every tasklet at
+  /// each DpuProgram phase boundary: the SDK's barrier is an
   /// acquire/release pair around a counter update plus the wait loop's
   /// fixed bookkeeping. Cycles spent *waiting* for other tasklets are not
   /// issue slots (a blocked tasklet issues nothing), so they are not

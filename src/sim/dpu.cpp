@@ -51,17 +51,10 @@ ConcurrentRunner current_runner() {
   return r;
 }
 
-} // namespace
-
-void set_concurrent_runner(ConcurrentRunner runner) {
-  std::lock_guard<std::mutex> lk(runner_mutex());
-  runner_slot() = std::move(runner);
-}
-
-/// Generation-counting barrier (usable across multiple kernel phases).
+/// Generation-counting barrier between the phases of a threaded launch.
 /// std::barrier would do, but a hand-rolled condition-variable barrier keeps
 /// the toolchain floor at the repo's C++20-minus-<barrier> baseline.
-class Dpu::LaunchBarrier {
+class LaunchBarrier {
 public:
   explicit LaunchBarrier(std::uint32_t parties) : parties_(parties) {}
 
@@ -96,6 +89,13 @@ private:
   std::uint64_t generation_ = 0;
 };
 
+} // namespace
+
+void set_concurrent_runner(ConcurrentRunner runner) {
+  std::lock_guard<std::mutex> lk(runner_mutex());
+  runner_slot() = std::move(runner);
+}
+
 Dpu::Dpu(const UpmemConfig& cfg)
     : cfg_(cfg),
       mram_(cfg.mram_bytes),
@@ -103,8 +103,14 @@ Dpu::Dpu(const UpmemConfig& cfg)
       iram_(cfg.iram_bytes) {}
 
 void Dpu::load(const DpuProgram& program) {
-  require(static_cast<bool>(program.entry),
-          "DpuProgram '" + program.name + "' has no entry point");
+  require(!program.phases.empty() &&
+              std::all_of(program.phases.begin(), program.phases.end(),
+                          [](const KernelPhase& p) { return bool(p); }),
+          "DpuProgram '" + program.name + "' has an empty kernel phase list "
+          "or an empty phase");
+  require(!program.fast_entry || program.phases.size() == 1,
+          "DpuProgram '" + program.name +
+              "' has a fast_entry twin but more than one phase");
 
   // Validate everything before mutating anything: a failed load (symbol
   // placement or IRAM overflow) must leave the previous program — IRAM,
@@ -180,23 +186,9 @@ void Dpu::host_read(const std::string& name, MemSize offset, void* dst,
   }
 }
 
-void Dpu::tasklet_barrier_wait() {
-  if (barrier_ != nullptr) {
-    barrier_->arrive_and_wait();
-    return;
-  }
-  if (!program_.uses_barrier) {
-    throw UsageError("kernel called barrier_wait() but DpuProgram '" +
-                     program_.name + "' does not declare uses_barrier");
-  }
-  // Single-tasklet launch of a barrier program: a barrier of one tasklet
-  // never waits.
-}
-
 DpuRunStats Dpu::launch(std::uint32_t n_tasklets, OptLevel opt,
                         TaskletSchedule schedule, SimMode mode) {
-  require(static_cast<bool>(program_.entry),
-          "launch without a loaded program");
+  require(!program_.phases.empty(), "launch without a loaded program");
   require(n_tasklets >= 1 && n_tasklets <= cfg_.max_tasklets,
           "tasklet count must be in [1, " +
               std::to_string(cfg_.max_tasklets) + "]");
@@ -208,19 +200,20 @@ DpuRunStats Dpu::launch(std::uint32_t n_tasklets, OptLevel opt,
   }
 
   const CostModel cost(opt);
+  const std::vector<KernelPhase>& phases = program_.phases;
   DpuRunStats out;
   out.tasklets.resize(n_tasklets);
 
-  if (program_.uses_barrier && n_tasklets > 1) {
-    // Barrier programs run every tasklet on a concurrent host thread so
-    // barrier_wait() provides real happens-before ordering and the kernel's
-    // correctness cannot lean on any particular tasklet schedule. Each
-    // tasklet charges into its own stats/profile; charges are
-    // interleaving-independent, so cycle accounting stays deterministic.
-    // The threads come from the installed ConcurrentRunner (persistent
-    // HostPool lanes under the runtime; fresh std::threads standalone).
+  if (mode == SimMode::Interp && phases.size() > 1 && n_tasklets > 1) {
+    // The reference executor for multi-phase programs: every tasklet runs
+    // on a concurrent host thread and the tasklets meet on a real barrier
+    // between phases, so a kernel that breaks the phase contract shows up
+    // as a schedule-dependent result. Each tasklet charges into its own
+    // stats/profile; charges are interleaving-independent, so cycle
+    // accounting stays deterministic. The threads come from the installed
+    // ConcurrentRunner (persistent HostPool lanes under the runtime; fresh
+    // std::threads standalone).
     LaunchBarrier barrier(n_tasklets);
-    barrier_ = &barrier;
     std::vector<SubroutineProfile> profiles(n_tasklets);
     std::vector<std::exception_ptr> errors(n_tasklets);
     const auto tasklet_body = [&](std::uint32_t t) {
@@ -233,7 +226,13 @@ DpuRunStats Dpu::launch(std::uint32_t n_tasklets, OptLevel opt,
         }
         TaskletCtx ctx(*this, t, n_tasklets, cost, out.tasklets[t],
                        profiles[t]);
-        program_.entry(ctx);
+        for (std::size_t p = 0; p < phases.size(); ++p) {
+          if (p > 0) {
+            ctx.charge_slots(cost.barrier_stmt());
+            barrier.arrive_and_wait();
+          }
+          phases[p](ctx);
+        }
       } catch (...) {
         errors[t] = std::current_exception();
         // Keep peers from deadlocking on a barrier this tasklet will
@@ -242,7 +241,6 @@ DpuRunStats Dpu::launch(std::uint32_t n_tasklets, OptLevel opt,
       }
     };
     current_runner()(n_tasklets, tasklet_body);
-    barrier_ = nullptr;
     for (const auto& e : errors) {
       if (e) std::rethrow_exception(e);
     }
@@ -250,18 +248,32 @@ DpuRunStats Dpu::launch(std::uint32_t n_tasklets, OptLevel opt,
       out.profile.merge(p);
     }
   } else {
-    const bool fast =
-        mode == SimMode::Fast && static_cast<bool>(program_.fast_entry) &&
-        !program_.uses_barrier;
-    const std::function<void(TaskletCtx&)>& body =
-        fast ? program_.fast_entry : program_.entry;
+    // Sequential executor: phase-major on the calling thread, one context
+    // per tasklet living across phases. The phase contract makes any
+    // in-phase order equivalent to the threaded run, and the boundary
+    // charge is the one the threaded barrier applies.
+    const bool twin = mode == SimMode::Fast && bool(program_.fast_entry);
+    out.fast_path = twin || (mode == SimMode::Fast && phases.size() > 1);
+    std::vector<TaskletCtx> ctxs;
+    ctxs.reserve(n_tasklets);
     for (TaskletId t = 0; t < n_tasklets; ++t) {
-      TaskletCtx ctx(*this, t, n_tasklets, cost, out.tasklets[t],
-                     out.profile);
-      body(ctx);
+      ctxs.emplace_back(*this, t, n_tasklets, cost, out.tasklets[t],
+                        out.profile);
     }
-    out.fast_path = fast;
-    if (fast) {
+    for (std::size_t p = 0; p < phases.size(); ++p) {
+      const KernelPhase& body = twin ? program_.fast_entry : phases[p];
+      for (TaskletId i = 0; i < n_tasklets; ++i) {
+        TaskletCtx& ctx =
+            ctxs[schedule == TaskletSchedule::StaggeredReverse
+                     ? n_tasklets - 1 - i
+                     : i];
+        if (p > 0) {
+          ctx.charge_slots(cost.barrier_stmt());
+        }
+        body(ctx);
+      }
+    }
+    if (out.fast_path) {
       obs::Metrics::instance().add("sim.fast_launches");
     }
   }

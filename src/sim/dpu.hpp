@@ -1,11 +1,12 @@
 // One simulated DPU: memories + loaded program + launch machinery.
 //
-// Programs are declared as a set of named MRAM/WRAM symbols plus an entry
-// point invoked once per tasklet (the SPMD model of the real SDK, §3.1).
-// `launch` runs all tasklets functionally and then derives the cycle count
-// from three hardware bounds of the 11-stage fine-grained-multithreaded
-// pipeline (see `DpuRunStats::cycles` docs), which reproduces the tasklet
-// saturation behaviour of Figure 4.7(a).
+// Programs are declared as a set of named MRAM/WRAM symbols plus kernel
+// phases invoked once per tasklet (the SPMD model of the real SDK, §3.1),
+// separated by implicit barriers. `launch` runs all tasklets functionally
+// and then derives the cycle count from three hardware bounds of the
+// 11-stage fine-grained-multithreaded pipeline (see `DpuRunStats::cycles`
+// docs), which reproduces the tasklet saturation behaviour of Figure
+// 4.7(a).
 #pragma once
 
 #include <functional>
@@ -30,33 +31,41 @@ struct SymbolDecl {
   MemSize size;      ///< bytes (will be placed 8-byte aligned)
 };
 
-/// A DPU-side program: entry point, symbols and IRAM footprint.
+/// One phase of a kernel body, run once per tasklet.
+using KernelPhase = std::function<void(TaskletCtx&)>;
+
+/// A DPU-side program: kernel phases, symbols and IRAM footprint.
 struct DpuProgram {
   std::string name;                     ///< program name (diagnostics)
   std::vector<SymbolDecl> symbols;      ///< buffers to place in memory
   MemSize iram_bytes = 4096;            ///< code footprint checked vs 24 KB
-  std::function<void(TaskletCtx&)> entry; ///< run once per tasklet
-  /// Optional batched twin of `entry` used when a launch runs in
-  /// SimMode::Fast: it must produce the identical memory effects
+  /// The kernel body as ordered phases, each run once per tasklet, with an
+  /// implicit barrier (the SDK's `barrier_wait`) between consecutive
+  /// phases: every tasklet finishes phase p before any tasklet starts phase
+  /// p+1, and each boundary charges every tasklet
+  /// CostModel::barrier_stmt() issue slots. Phase contract: no tasklet
+  /// reads what another tasklet writes in the same phase, so any tasklet
+  /// order within a phase gives the same memory effects. Most kernels are
+  /// one phase; a kernel that synchronizes on a barrier splits there.
+  std::vector<KernelPhase> phases;
+  /// Optional batched twin of a single-phase body used when a launch runs
+  /// in SimMode::Fast: it must produce the identical memory effects
   /// (bit-exact, soft-float results included) and apply the identical
   /// charges (cycle-exact stats and subroutine profile), computing with
   /// native host arithmetic and bulk `charge_*` calls instead of per-op
-  /// interpretation. Programs without one always interpret; the dual-run
-  /// cross-check tests enforce the equivalence contract.
-  std::function<void(TaskletCtx&)> fast_entry;
-  /// True if `entry` synchronizes through TaskletCtx::barrier_wait().
-  /// Barrier programs execute their tasklets on concurrent host threads so
-  /// the barrier provides real happens-before ordering (any scheduling
-  /// order is correct); non-barrier programs run tasklets sequentially.
-  bool uses_barrier = false;
+  /// interpretation. The dual-run cross-check tests enforce the
+  /// equivalence contract.
+  KernelPhase fast_entry;
 };
 
-/// How a launch orders tasklet start-up. Only observable for barrier
-/// programs (which run threaded); used by tests to prove kernels do not
+/// How a launch orders tasklets. Used by tests to prove kernels do not
 /// depend on the historical tasklet-0-first sequential schedule.
 enum class TaskletSchedule : std::uint8_t {
-  InOrder,          ///< start tasklets in id order (hardware-like)
-  StaggeredReverse, ///< delay low ids so high ids reach the kernel first
+  InOrder,          ///< run tasklets in id order (hardware-like)
+  /// High ids first: the threaded executor delays low ids so high ids
+  /// reach the kernel first; the sequential executor runs each phase in
+  /// id order n-1..0.
+  StaggeredReverse,
 };
 
 /// Placed symbol: where a declaration landed.
@@ -85,14 +94,16 @@ struct DpuRunStats {
   SubroutineProfile profile;
   /// Executor metadata (not part of the modeled machine state, hence not
   /// part of the fast/interp equivalence contract): true when this launch
-  /// ran the program's `fast_entry` instead of interpreting `entry`.
+  /// ran on the fast executor — the program's `fast_entry` twin, or a
+  /// multi-phase program run phase by phase on the calling thread instead
+  /// of on one host thread per tasklet.
   bool fast_path = false;
 };
 
-/// Hook that runs the `n` concurrently-blocking tasklet bodies of a
-/// barrier-program launch, each on its own thread (body `t` may block on a
-/// barrier until every other body arrives, so the indices must make
-/// progress concurrently — a shared work queue is not a valid
+/// Hook that runs the `n` concurrently-blocking tasklet bodies of an
+/// interpreted multi-phase launch, each on its own thread (body `t` may
+/// block on a barrier until every other body arrives, so the indices must
+/// make progress concurrently — a shared work queue is not a valid
 /// implementation). Installed by higher layers (runtime::HostPool routes it
 /// onto persistent lane threads so warm launches create zero threads); the
 /// default spawns one std::thread per tasklet, keeping the standalone
@@ -100,7 +111,7 @@ struct DpuRunStats {
 using ConcurrentRunner =
     std::function<void(std::uint32_t, const std::function<void(std::uint32_t)>&)>;
 
-/// Replaces the barrier-launch runner (empty restores the default).
+/// Replaces the multi-phase launch runner (empty restores the default).
 void set_concurrent_runner(ConcurrentRunner runner);
 
 /// One simulated DPU.
@@ -130,9 +141,15 @@ public:
 
   /// Runs the loaded program on `n_tasklets` tasklets under the given
   /// optimization level and returns the cycle accounting. `schedule`
-  /// selects the tasklet start order for barrier programs. `mode` selects
-  /// the executor for non-barrier programs that provide a `fast_entry`;
-  /// everything else interprets regardless.
+  /// selects the tasklet order. `mode` selects the executor:
+  ///  * Interp runs a multi-phase program's tasklets on concurrent host
+  ///    threads (ConcurrentRunner) that meet on a real barrier between
+  ///    phases; a single-phase program's tasklets run one after another.
+  ///  * Fast runs every program on the calling thread, phase-major (phase
+  ///    p for every tasklet in schedule order, then phase p+1), and uses a
+  ///    single-phase program's `fast_entry` when it has one.
+  /// Both charge identically, so outputs and stats are bit- and
+  /// cycle-exact across modes and schedules.
   DpuRunStats launch(std::uint32_t n_tasklets,
                      OptLevel opt = OptLevel::O3,
                      TaskletSchedule schedule = TaskletSchedule::InOrder,
@@ -152,14 +169,6 @@ public:
 private:
   friend class TaskletCtx;
 
-  /// Called by TaskletCtx::barrier_wait(): blocks until every tasklet of
-  /// the current launch has arrived (real synchronization on the threaded
-  /// path; a no-op for single-tasklet launches). Throws UsageError when the
-  /// loaded program did not declare `uses_barrier`.
-  void tasklet_barrier_wait();
-
-  class LaunchBarrier; ///< condition-variable barrier (defined in dpu.cpp)
-
   UpmemConfig cfg_;
   Mram mram_;
   Wram wram_;
@@ -168,7 +177,6 @@ private:
   std::map<std::string, SymbolInfo> symbols_;
   MemSize mram_top_ = 0;
   MemSize wram_top_ = 0;
-  LaunchBarrier* barrier_ = nullptr; ///< non-null only during threaded launch
 };
 
 } // namespace pimdnn::sim

@@ -82,9 +82,10 @@ private:
 
   MemSize capacity_;
   mutable std::vector<std::unique_ptr<std::uint8_t[]>> chunks_;
-  /// Guards lazy chunk materialization: barrier programs run tasklets on
-  /// concurrent threads, and two tasklets writing disjoint regions of the
-  /// same still-unmaterialized 64 KB chunk must not both allocate it.
+  /// Guards lazy chunk materialization: interpreted multi-phase programs
+  /// run tasklets on concurrent threads, and two tasklets writing disjoint
+  /// regions of the same still-unmaterialized 64 KB chunk must not both
+  /// allocate it.
   /// Held only while installing a chunk pointer, never during the memcpy.
   std::unique_ptr<std::mutex> chunk_mtx_ = std::make_unique<std::mutex>();
 };

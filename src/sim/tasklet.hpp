@@ -163,15 +163,6 @@ public:
   /// Charges `n` executions of subroutine `s` (cycles + #occ profile).
   void charge_subroutine(Subroutine s, std::uint64_t n);
 
-  // ---- synchronization -----------------------------------------------------
-
-  /// The SDK's `barrier_wait(&my_barrier)`: blocks until every tasklet of
-  /// the launch has arrived. Charges CostModel::barrier_stmt() issue slots.
-  /// Requires the program to declare `DpuProgram::uses_barrier` (barrier
-  /// programs run their tasklets on concurrent threads, so the barrier is a
-  /// real happens-before edge, not a simulation convention).
-  void barrier_wait();
-
   // ---- perfcounter ---------------------------------------------------------
 
   /// Resets the cycle counter (thesis Figure 3.1: perfcounter_config()).

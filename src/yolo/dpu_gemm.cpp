@@ -38,18 +38,58 @@ MemSize c_stride_bytes(int n) {
   return align_up(static_cast<MemSize>(n) * 2, kXferAlign);
 }
 
-void gemm_tasklet(TaskletCtx& ctx) {
-  auto meta = ctx.wram_span<std::uint64_t>("meta");
-  ctx.charge_alu(5);
-  const int n = static_cast<int>(meta[0]);
-  const int k = static_cast<int>(meta[1]);
-  const auto alpha =
-      static_cast<std::int32_t>(static_cast<std::int64_t>(meta[2]));
-  const auto variant = static_cast<GemmVariant>(meta[3]);
-  const int rows = static_cast<int>(meta[4]);
+/// The kernel's decoded metadata. Every phase decodes it afresh from WRAM
+/// the host wrote before launch (locals do not survive a phase boundary);
+/// the meta loads are charged once, in the first phase.
+struct GemmArgs {
+  int n, k, rows;
+  std::int32_t alpha;
+  GemmVariant variant;
 
+  explicit GemmArgs(TaskletCtx& ctx) {
+    auto meta = ctx.wram_span<std::uint64_t>("meta");
+    n = static_cast<int>(meta[0]);
+    k = static_cast<int>(meta[1]);
+    alpha = static_cast<std::int32_t>(static_cast<std::int64_t>(meta[2]));
+    variant = static_cast<GemmVariant>(meta[3]);
+    rows = static_cast<int>(meta[4]);
+  }
+};
+
+/// First phase: load the metadata; WramTiled then stages every assigned A
+/// row into WRAM once (tasklet 0). The phase boundary that follows is the
+/// kernel's barrier: without it, a tasklet scheduled ahead of tasklet 0
+/// would read unstaged rows (the hazard only the historical
+/// tasklet-0-first sequential schedule hid).
+void gemm_prologue(TaskletCtx& ctx) {
+  ctx.charge_alu(5);
+  const GemmArgs g(ctx);
   require(ctx.n_tasklets() <= map::kMaxGemmTasklets,
           "GEMM program supports at most 16 tasklets");
+  if (g.variant != GemmVariant::WramTiled || ctx.id() != 0) {
+    return;
+  }
+  auto a_wram = ctx.wram_span<std::int16_t>("a_wram");
+  const MemSize a_base = ctx.mram_addr("a_rows");
+  const MemSize a_stride = a_stride_bytes(g.k);
+  const MemSize row_bytes = static_cast<MemSize>(g.k) * 2;
+  for (int r = 0; r < g.rows; ++r) {
+    auto* dst = reinterpret_cast<std::uint8_t*>(
+        a_wram.data() + static_cast<std::size_t>(r) * g.k);
+    MemSize off = 0;
+    while (off < row_bytes) {
+      const MemSize chunk = std::min<MemSize>(kDmaMax, row_bytes - off);
+      ctx.mram_read(dst + off, a_base + r * a_stride + off, chunk);
+      ctx.charge_loop(1);
+      off += chunk;
+    }
+  }
+}
+
+/// Main phase: each tasklet owns output strips `id, id + T, ...` of every
+/// row and runs Algorithm 2's k/MAC loop over them.
+void gemm_compute(TaskletCtx& ctx) {
+  const auto [n, k, rows, alpha, variant] = GemmArgs(ctx);
 
   auto a_wram = ctx.wram_span<std::int16_t>("a_wram");
   auto bchunk_all = ctx.wram_span<std::int16_t>("bchunk");
@@ -66,28 +106,6 @@ void gemm_tasklet(TaskletCtx& ctx) {
   std::int16_t* bch = bchunk_all.data() + ctx.id() * kGemmStrip;
   std::int32_t* ctmp = ctmp_all.data() + ctx.id() * kGemmStrip;
   std::int16_t* cout = cout_all.data() + ctx.id() * kGemmStrip;
-
-  // Stage every assigned A row into WRAM once (tasklet 0), then rendezvous
-  // on a barrier: without it, a tasklet scheduled ahead of tasklet 0 would
-  // read unstaged rows (the hazard only the historical tasklet-0-first
-  // sequential schedule hid).
-  if (variant == GemmVariant::WramTiled) {
-    if (ctx.id() == 0) {
-      for (int r = 0; r < rows; ++r) {
-        MemSize off = 0;
-        const MemSize row_bytes = static_cast<MemSize>(k) * 2;
-        auto* dst = reinterpret_cast<std::uint8_t*>(
-            a_wram.data() + static_cast<std::size_t>(r) * k);
-        while (off < row_bytes) {
-          const MemSize chunk = std::min<MemSize>(kDmaMax, row_bytes - off);
-          ctx.mram_read(dst + off, a_base + r * a_stride + off, chunk);
-          ctx.charge_loop(1);
-          off += chunk;
-        }
-      }
-    }
-    ctx.barrier_wait();
-  }
 
   const int n_strips = (n + kGemmStrip - 1) / kGemmStrip;
   for (int r = 0; r < rows; ++r) {
@@ -180,8 +198,6 @@ sim::DpuProgram make_gemm_program(int n, int k, GemmVariant variant,
   sim::DpuProgram prog;
   prog.name = "yolo_gemm";
   prog.iram_bytes = 4096;
-  // WramTiled synchronizes the staged A rows behind a barrier.
-  prog.uses_barrier = variant == GemmVariant::WramTiled;
   prog.symbols = {
       {"meta", MemKind::Wram, sizeof(Meta)},
       {"a_wram", MemKind::Wram, a_bytes},
@@ -196,7 +212,16 @@ sim::DpuProgram make_gemm_program(int n, int k, GemmVariant variant,
       {"ctmp_mram", MemKind::Mram,
        align_up(static_cast<MemSize>(n) * 4, kXferAlign)},
   };
-  prog.entry = gemm_tasklet;
+  // WramTiled splits at the staging barrier; MramResident stages nothing
+  // and runs as one phase.
+  if (variant == GemmVariant::WramTiled) {
+    prog.phases = {gemm_prologue, gemm_compute};
+  } else {
+    prog.phases = {[](TaskletCtx& ctx) {
+      gemm_prologue(ctx);
+      gemm_compute(ctx);
+    }};
+  }
   return prog;
 }
 

@@ -53,12 +53,12 @@ TEST(Calibration, ProfiledOpCyclesMatchTable31Within3Percent) {
     sim::DpuProgram p;
     p.name = "calib";
     p.symbols = {{"w", sim::MemKind::Wram, 64}};
-    p.entry = [&](sim::TaskletCtx& ctx) {
+    p.phases = {[&](sim::TaskletCtx& ctx) {
       ctx.perfcounter_config();
       ctx.charge_alu(5);
       cs.op(ctx);
       measured = ctx.perfcounter_get();
-    };
+    }};
     dpu.load(p);
     dpu.launch(1, OptLevel::O0);
     EXPECT_NEAR(static_cast<double>(measured), cs.paper, cs.paper * 0.03)

@@ -202,13 +202,13 @@ TEST(Advisor, FlagsO0AndMramBound) {
   p.name = "dma_heavy";
   p.symbols = {{"m", sim::MemKind::Mram, 1 << 20},
                {"w", sim::MemKind::Wram, 2048}};
-  p.entry = [](sim::TaskletCtx& ctx) {
+  p.phases = {[](sim::TaskletCtx& ctx) {
     auto buf = ctx.wram_span<std::uint8_t>("w");
     for (int i = 0; i < 256; ++i) {
       ctx.mram_read(buf.data(), ctx.mram_addr("m") + i * 2048, 2048);
       ctx.charge_alu(4);
     }
-  };
+  }};
   set.load(p);
   runtime::LaunchStats stats;
   stats.per_dpu.push_back(set.dpu(0).launch(11, OptLevel::O0));

@@ -1,22 +1,26 @@
 // Fast-path execution mode tests: SimMode parsing/plumbing, the dual-run
 // fast/interp equivalence contract (bit-exact memory, cycle-exact stats,
-// identical subroutine profiles) on the eBNN kernels, end-to-end parity
-// through EbnnHost / DeepEbnnHost including fixed-seed fault injection and
-// the double-buffered pipeline, plus regression tests for the three
-// interpreter fixes: per-launch thread crops in the barrier path (warm
-// launches must create zero threads), integer-wrap bounds bypass in
-// host_write/host_read, and non-atomic Dpu::load (a failed load must leave
-// the prior program launchable).
+// identical subroutine profiles) on the eBNN kernels and the multi-phase
+// YOLO GEMM, end-to-end parity through EbnnHost / DeepEbnnHost including
+// fixed-seed fault injection and the double-buffered pipeline, the
+// warm-launch thread invariants of both executors, plus regression tests
+// for integer-wrap bounds bypass in host_write/host_read and non-atomic
+// Dpu::load (a failed load must leave the prior program launchable).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/sim_mode.hpp"
 #include "ebnn/deep.hpp"
 #include "ebnn/dpu_kernel.hpp"
@@ -24,12 +28,18 @@
 #include "ebnn/lut.hpp"
 #include "ebnn/mnist_synth.hpp"
 #include "ebnn/model.hpp"
+#include "nn/gemm.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/dpu_pool.hpp"
 #include "runtime/dpu_set.hpp"
+#include "runtime/host_pool.hpp"
 #include "runtime/kernel_session.hpp"
 #include "sim/dpu.hpp"
 #include "sim/fault.hpp"
+#include "yolo/config.hpp"
+#include "yolo/detect.hpp"
+#include "yolo/dpu_gemm.hpp"
+#include "yolo/network.hpp"
 
 namespace pimdnn {
 namespace {
@@ -80,32 +90,55 @@ sim::DpuProgram probe_program(const std::string& name = "probe") {
     ctx.charge_alu(1);
     ctx.mram_write(ctx.mram_addr("out") + ctx.id() * 8, &buf[ctx.id()], 8);
   };
-  p.entry = body;
+  p.phases = {body};
   p.fast_entry = body;
   return p;
 }
 
-/// Barrier program: each tasklet publishes id+1 into shared WRAM, waits,
-/// then writes its neighbour's value to MRAM — only correct when the
-/// barrier is a real happens-before edge across concurrent tasklets.
+/// Two-phase program: each tasklet publishes id+1 into shared WRAM, then
+/// (after the phase-boundary barrier) writes its neighbour's value to MRAM
+/// — only correct when every tasklet's first phase happens before any
+/// tasklet's second.
 sim::DpuProgram barrier_program() {
   sim::DpuProgram p;
   p.name = "barrier_probe";
   p.symbols = {{"out", MemKind::Mram, 256},
                {"slots", MemKind::Wram, 128},
                {"stage", MemKind::Wram, 256}};
-  p.uses_barrier = true;
-  p.entry = [](TaskletCtx& ctx) {
-    auto slots = ctx.wram_span<std::uint32_t>("slots");
-    slots[ctx.id()] = ctx.id() + 1;
-    ctx.charge_alu(1);
-    ctx.barrier_wait();
-    auto stage = ctx.wram_span<std::uint64_t>("stage");
-    stage[ctx.id()] = slots[(ctx.id() + 1) % ctx.n_tasklets()];
-    ctx.charge_alu(1);
-    ctx.mram_write(ctx.mram_addr("out") + ctx.id() * 8, &stage[ctx.id()], 8);
-  };
+  p.phases = {
+      [](TaskletCtx& ctx) {
+        auto slots = ctx.wram_span<std::uint32_t>("slots");
+        slots[ctx.id()] = ctx.id() + 1;
+        ctx.charge_alu(1);
+      },
+      [](TaskletCtx& ctx) {
+        auto slots = ctx.wram_span<std::uint32_t>("slots");
+        auto stage = ctx.wram_span<std::uint64_t>("stage");
+        stage[ctx.id()] = slots[(ctx.id() + 1) % ctx.n_tasklets()];
+        ctx.charge_alu(1);
+        ctx.mram_write(ctx.mram_addr("out") + ctx.id() * 8,
+                       &stage[ctx.id()], 8);
+      }};
   return p;
+}
+
+/// Zeroes the barrier probe's symbols, so a launch cannot pass on values
+/// an earlier launch left in WRAM.
+void reset_barrier_probe(Dpu& dpu) {
+  const std::vector<std::uint8_t> zeros(256, 0);
+  for (const char* name : {"out", "slots", "stage"}) {
+    dpu.host_write(name, 0, zeros.data(), dpu.symbol(name).size);
+  }
+}
+
+/// Reads back the barrier probe's output and checks every tasklet saw its
+/// neighbour's first-phase write.
+void expect_barrier_probe_result(Dpu& dpu, std::uint32_t n_tasklets) {
+  for (std::uint32_t t = 0; t < n_tasklets; ++t) {
+    std::uint64_t v = 0;
+    dpu.host_read("out", t * 8, &v, 8);
+    EXPECT_EQ(v, (t + 1) % n_tasklets + 1) << "tasklet " << t;
+  }
 }
 
 // ---- SimMode parsing ------------------------------------------------------
@@ -178,7 +211,7 @@ TEST_F(FastModeTest, FailedLoadLeavesPriorProgramLaunchable) {
   sim::DpuProgram big;
   big.name = "mram_overflow";
   big.symbols = {{"huge", MemKind::Mram, dpu.config().mram_bytes + 8}};
-  big.entry = [](TaskletCtx&) {};
+  big.phases = {[](TaskletCtx&) {}};
   EXPECT_THROW(dpu.load(big), CapacityError);
   check_intact();
 
@@ -188,7 +221,7 @@ TEST_F(FastModeTest, FailedLoadLeavesPriorProgramLaunchable) {
   wrap.symbols = {{"a", MemKind::Mram, 64},
                   {"b", MemKind::Mram,
                    std::numeric_limits<MemSize>::max() - 32}};
-  wrap.entry = [](TaskletCtx&) {};
+  wrap.phases = {[](TaskletCtx&) {}};
   EXPECT_THROW(dpu.load(wrap), CapacityError);
   check_intact();
 
@@ -204,7 +237,7 @@ TEST_F(FastModeTest, FailedLoadLeavesPriorProgramLaunchable) {
   sim::DpuProgram wbig;
   wbig.name = "wram_overflow";
   wbig.symbols = {{"w", MemKind::Wram, dpu.config().wram_bytes + 8}};
-  wbig.entry = [](TaskletCtx&) {};
+  wbig.phases = {[](TaskletCtx&) {}};
   EXPECT_THROW(dpu.load(wbig), CapacityError);
   check_intact();
 }
@@ -215,13 +248,10 @@ TEST_F(FastModeTest, WarmBarrierLaunchesCreateZeroThreads) {
   constexpr std::uint32_t kTasklets = 8;
   DpuSet set = DpuSet::allocate(1);
   set.load(barrier_program());
+  set.set_sim_mode(SimMode::Interp); // the threaded executor owns lanes
 
   const auto check_result = [&] {
-    for (std::uint32_t t = 0; t < kTasklets; ++t) {
-      std::uint64_t v = 0;
-      set.dpu(0).host_read("out", t * 8, &v, 8);
-      EXPECT_EQ(v, (t + 1) % kTasklets + 1) << "tasklet " << t;
-    }
+    expect_barrier_probe_result(set.dpu(0), kTasklets);
   };
 
   // Warm-up: the HostPool grows its persistent lane set on first demand.
@@ -244,13 +274,12 @@ TEST_F(FastModeTest, BarrierScheduleVariantsStayCorrect) {
   DpuSet set = DpuSet::allocate(1);
   set.load(barrier_program());
   Dpu& dpu = set.dpu(0);
-  DpuRunStats st = dpu.launch(6, OptLevel::O3,
-                              sim::TaskletSchedule::StaggeredReverse);
-  EXPECT_FALSE(st.fast_path);
-  for (std::uint32_t t = 0; t < 6; ++t) {
-    std::uint64_t v = 0;
-    dpu.host_read("out", t * 8, &v, 8);
-    EXPECT_EQ(v, (t + 1) % 6 + 1);
+  for (const SimMode mode : {SimMode::Interp, SimMode::Fast}) {
+    reset_barrier_probe(dpu);
+    DpuRunStats st = dpu.launch(6, OptLevel::O3,
+                                sim::TaskletSchedule::StaggeredReverse, mode);
+    EXPECT_EQ(st.fast_path, mode == SimMode::Fast);
+    expect_barrier_probe_result(dpu, 6);
   }
 }
 
@@ -269,16 +298,32 @@ TEST_F(FastModeTest, ProgramWithoutFastEntryInterpretsUnderFastMode) {
   EXPECT_EQ(v, 103u);
 }
 
-TEST_F(FastModeTest, BarrierProgramIgnoresFastMode) {
-  sim::DpuProgram p = barrier_program();
-  // Even with a (nonsensical) fast twin attached, barrier programs must
-  // keep the threaded interpreter: the twin would break happens-before.
-  p.fast_entry = [](TaskletCtx&) { FAIL() << "fast twin ran on a barrier"; };
+TEST_F(FastModeTest, MultiPhaseProgramTakesFastPathAndMatchesThreadedRun) {
   DpuSet set = DpuSet::allocate(1);
-  set.dpu(0).load(p);
-  DpuRunStats st = set.dpu(0).launch(
-      4, OptLevel::O3, sim::TaskletSchedule::InOrder, SimMode::Fast);
-  EXPECT_FALSE(st.fast_path);
+  Dpu& dpu = set.dpu(0);
+  dpu.load(barrier_program());
+  const std::uint64_t fast_before =
+      obs::Metrics::instance().counter("sim.fast_launches");
+  const DpuRunStats threaded = dpu.launch(
+      5, OptLevel::O3, sim::TaskletSchedule::InOrder, SimMode::Interp);
+  EXPECT_FALSE(threaded.fast_path);
+  expect_barrier_probe_result(dpu, 5);
+
+  reset_barrier_probe(dpu);
+  const DpuRunStats fast = dpu.launch(
+      5, OptLevel::O3, sim::TaskletSchedule::InOrder, SimMode::Fast);
+  EXPECT_TRUE(fast.fast_path);
+  expect_barrier_probe_result(dpu, 5);
+  EXPECT_EQ(obs::Metrics::instance().counter("sim.fast_launches"),
+            fast_before + 1);
+
+  EXPECT_EQ(fast.cycles, threaded.cycles);
+  EXPECT_EQ(fast.total_slots, threaded.total_slots);
+  ASSERT_EQ(fast.tasklets.size(), threaded.tasklets.size());
+  for (std::size_t t = 0; t < fast.tasklets.size(); ++t) {
+    // Two one-ALU phases plus the boundary barrier, in both executors.
+    EXPECT_EQ(fast.tasklets[t].slots, threaded.tasklets[t].slots);
+  }
 }
 
 // ---- mode plumbing through DpuSet / DpuPool / KernelSession --------------
@@ -438,6 +483,184 @@ TEST_F(FastModeTest, EbnnDualRunBitAndCycleExactAtO0) {
                    OptLevel::O0);
   cross_check_ebnn(BnMode::HostLut, ConvKernel::PackedRows, 3, 2,
                    OptLevel::O0);
+}
+
+// ---- the dual-run equivalence contract on the multi-phase YOLO GEMM -------
+
+/// Mirrors the GEMM kernel's WRAM metadata block (dpu_gemm.cpp).
+struct GemmMeta {
+  std::uint64_t n, k;
+  std::int64_t alpha;
+  std::uint64_t variant, rows;
+};
+
+/// One raw-DPU GEMM run of `rows` rows of A against B, capturing every
+/// symbol's bytes afterwards.
+RunCapture run_gemm_once(yolo::GemmVariant variant, int n, int k, int rows,
+                         const std::vector<std::int16_t>& a,
+                         const std::vector<std::int16_t>& b,
+                         std::uint32_t n_tasklets,
+                         sim::TaskletSchedule schedule, SimMode mode) {
+  const sim::DpuProgram prog = yolo::make_gemm_program(n, k, variant, rows);
+  Dpu dpu;
+  dpu.load(prog);
+  const GemmMeta meta{static_cast<std::uint64_t>(n),
+                      static_cast<std::uint64_t>(k), 3,
+                      static_cast<std::uint64_t>(variant),
+                      static_cast<std::uint64_t>(rows)};
+  dpu.host_write("meta", 0, &meta, sizeof(meta));
+  const MemSize a_stride = align_up(static_cast<MemSize>(k) * 2, kXferAlign);
+  for (int r = 0; r < rows; ++r) {
+    dpu.host_write("a_rows", r * a_stride,
+                   a.data() + static_cast<std::size_t>(r) * k,
+                   static_cast<MemSize>(k) * 2);
+  }
+  dpu.host_write("b_mat", 0, b.data(), b.size() * 2);
+
+  RunCapture out;
+  out.stats = dpu.launch(n_tasklets, OptLevel::O3, schedule, mode);
+  for (const sim::SymbolDecl& d : prog.symbols) {
+    std::vector<std::uint8_t> bytes(dpu.symbol(d.name).size);
+    dpu.host_read(d.name, 0, bytes.data(), bytes.size());
+    out.mem.emplace(d.name, std::move(bytes));
+  }
+  return out;
+}
+
+TEST_F(FastModeTest, GemmDualRunBitAndCycleExact) {
+  // n = 600 is two full strips plus a 88-column tail: idle tasklets,
+  // tasklets owning several strips, and a partial strip all occur.
+  const int n = 600;
+  const int k = 40;
+  ASSERT_NE(n % yolo::kGemmStrip, 0);
+  Rng rng(1313);
+  for (const yolo::GemmVariant variant :
+       {yolo::GemmVariant::WramTiled, yolo::GemmVariant::MramResident}) {
+    for (const int rows : {1, 3}) {
+      std::vector<std::int16_t> a(static_cast<std::size_t>(rows) * k);
+      std::vector<std::int16_t> b(static_cast<std::size_t>(k) * n);
+      for (auto& v : a) v = static_cast<std::int16_t>(rng.uniform_int(-90, 90));
+      for (auto& v : b) v = static_cast<std::int16_t>(rng.uniform_int(-90, 90));
+      std::vector<std::int16_t> expect(static_cast<std::size_t>(rows) * n);
+      nn::gemm_q16_reference(rows, n, k, 3, a, b, expect);
+
+      for (const std::uint32_t tasklets : {1u, 2u, 11u, 16u}) {
+        SCOPED_TRACE(std::string("variant=") +
+                     (variant == yolo::GemmVariant::WramTiled ? "tiled"
+                                                              : "resident") +
+                     " rows=" + std::to_string(rows) +
+                     " tasklets=" + std::to_string(tasklets));
+        const RunCapture ref =
+            run_gemm_once(variant, n, k, rows, a, b, tasklets,
+                          sim::TaskletSchedule::InOrder, SimMode::Interp);
+        EXPECT_FALSE(ref.stats.fast_path);
+
+        // The threaded run matches the fixed-point reference...
+        const std::vector<std::uint8_t>& c = ref.mem.at("c_rows");
+        const MemSize c_stride =
+            align_up(static_cast<MemSize>(n) * 2, kXferAlign);
+        for (int r = 0; r < rows; ++r) {
+          std::vector<std::int16_t> row(static_cast<std::size_t>(n));
+          std::memcpy(row.data(), c.data() + r * c_stride,
+                      static_cast<std::size_t>(n) * 2);
+          EXPECT_TRUE(std::equal(row.begin(), row.end(),
+                                 expect.begin() + static_cast<long>(r) * n))
+              << "row " << r;
+        }
+
+        // ...and every other executor/schedule pair matches it exactly.
+        for (const SimMode mode : {SimMode::Interp, SimMode::Fast}) {
+          for (const sim::TaskletSchedule schedule :
+               {sim::TaskletSchedule::InOrder,
+                sim::TaskletSchedule::StaggeredReverse}) {
+            if (mode == SimMode::Interp &&
+                schedule == sim::TaskletSchedule::InOrder) {
+              continue;
+            }
+            const RunCapture run = run_gemm_once(variant, n, k, rows, a, b,
+                                                 tasklets, schedule, mode);
+            EXPECT_EQ(run.stats.fast_path,
+                      mode == SimMode::Fast &&
+                          variant == yolo::GemmVariant::WramTiled);
+            expect_stats_equal(ref.stats, run.stats);
+            for (const auto& [name, bytes] : ref.mem) {
+              EXPECT_EQ(bytes, run.mem.at(name))
+                  << "symbol " << name << " mode " << sim_mode_name(mode);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(FastModeTest, WarmFastYoloLaunchesUseNoLaneThreads) {
+  // Every launch of the threaded executor goes through the installed
+  // runner; count them. Fast mode must never reach it.
+  (void)DpuSet::allocate(1); // installs the HostPool lane runner once
+  std::atomic<std::uint64_t> runner_calls{0};
+  sim::set_concurrent_runner(
+      [&runner_calls](std::uint32_t n,
+                      const std::function<void(std::uint32_t)>& body) {
+        ++runner_calls;
+        runtime::HostPool::global().run_exclusive(n, body);
+      });
+  // Declared after runner_calls, so the counting runner is replaced
+  // before the counter it captures goes away.
+  struct RestoreRunner {
+    ~RestoreRunner() {
+      sim::set_concurrent_runner(
+          [](std::uint32_t n,
+             const std::function<void(std::uint32_t)>& body) {
+            runtime::HostPool::global().run_exclusive(n, body);
+          });
+    }
+  } restore;
+
+  set_default_sim_mode(SimMode::Fast);
+  auto& metrics = obs::Metrics::instance();
+
+  // dpu_gemm_pooled on a persistent pool.
+  const int m = 4, n = 300, k = 16;
+  Rng rng(77);
+  std::vector<std::int16_t> a(static_cast<std::size_t>(m) * k);
+  std::vector<std::int16_t> b(static_cast<std::size_t>(k) * n);
+  for (auto& v : a) v = static_cast<std::int16_t>(rng.uniform_int(-50, 50));
+  for (auto& v : b) v = static_cast<std::int16_t>(rng.uniform_int(-50, 50));
+  DpuPool pool;
+  const auto gemm = [&] {
+    return yolo::dpu_gemm_pooled(pool, m, n, k, 2, a, b,
+                                 yolo::GemmVariant::WramTiled, 16,
+                                 OptLevel::O3, 1, "w", 1);
+  };
+  gemm();
+  std::uint64_t threads_before = metrics.counter("hostpool.threads_created");
+  const yolo::GemmResult warm = gemm();
+  EXPECT_EQ(metrics.counter("hostpool.threads_created"), threads_before);
+  ASSERT_EQ(warm.stats.per_dpu.size(), static_cast<std::size_t>(m));
+  for (const DpuRunStats& st : warm.stats.per_dpu) {
+    EXPECT_TRUE(st.fast_path);
+  }
+
+  // run_pipelined through a YoloRunner's two banks.
+  const auto defs = yolo::yolov3_lite_config(1, 1);
+  const auto w = yolo::YoloWeights::random(defs, 3, 5);
+  yolo::YoloRunner runner(defs, w, 3, 32, 32);
+  std::vector<std::vector<std::int16_t>> frames;
+  for (unsigned i = 0; i < 3; ++i) {
+    frames.push_back(yolo::make_synthetic_image(3, 32, 32, 5, 40 + i));
+  }
+  yolo::RunOptions opts;
+  opts.mode = yolo::ExecMode::DpuWram;
+  runner.run_pipelined(frames, opts);
+  threads_before = metrics.counter("hostpool.threads_created");
+  const std::uint64_t fast_before = metrics.counter("sim.fast_launches");
+  runner.run_pipelined(frames, opts);
+  EXPECT_EQ(metrics.counter("hostpool.threads_created"), threads_before);
+  EXPECT_GT(metrics.counter("sim.fast_launches"), fast_before);
+
+  EXPECT_EQ(runner_calls.load(), 0u)
+      << "a fast-mode launch ran on the threaded executor";
 }
 
 // ---- end-to-end parity through the host applications ---------------------

@@ -62,7 +62,7 @@ sim::DpuProgram tiny_program(const std::string& name = "tiny") {
   sim::DpuProgram p;
   p.name = name;
   p.symbols = {{"data", MemKind::Mram, 64}, {"w", MemKind::Wram, 8}};
-  p.entry = [](TaskletCtx& ctx) { ctx.charge_alu(1); };
+  p.phases = {[](TaskletCtx& ctx) { ctx.charge_alu(1); }};
   return p;
 }
 

@@ -53,11 +53,11 @@ TEST(Integration, KernelOutOfBoundsMramFaultsSurfaceToHost) {
   sim::DpuProgram p;
   p.name = "oob";
   p.symbols = {{"buf", MemKind::Mram, 64}, {"w", MemKind::Wram, 64}};
-  p.entry = [](TaskletCtx& ctx) {
+  p.phases = {[](TaskletCtx& ctx) {
     std::uint8_t tmp[128];
     // Reads past the end of the 64 MB MRAM: a hard fault on hardware.
     ctx.mram_read(tmp, 64ull * 1024 * 1024 - 16, 128);
-  };
+  }};
   set.load(p);
   EXPECT_THROW(set.launch(1), OutOfBoundsError);
 }
@@ -67,11 +67,11 @@ TEST(Integration, KernelWramOverrunFaults) {
   sim::DpuProgram p;
   p.name = "wram_oob";
   p.symbols = {{"w", MemKind::Wram, 16}};
-  p.entry = [](TaskletCtx& ctx) {
+  p.phases = {[](TaskletCtx& ctx) {
     auto s = ctx.wram_span<std::uint8_t>("w");
     ctx.mram_read(s.data(), 0, 16); // fine
     (void)ctx.wram_span<std::uint64_t>("missing");
-  };
+  }};
   set.load(p);
   EXPECT_THROW(set.launch(1), SymbolError);
 }
@@ -82,7 +82,7 @@ TEST(Integration, IramOverflowRejectedAtLoad) {
   p.name = "huge_code";
   p.iram_bytes = 25 * 1024; // > 24 KB IRAM
   p.symbols = {{"w", MemKind::Wram, 8}};
-  p.entry = [](TaskletCtx&) {};
+  p.phases = {[](TaskletCtx&) {}};
   EXPECT_THROW(set.load(p), CapacityError);
 }
 

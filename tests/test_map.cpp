@@ -255,7 +255,9 @@ TEST(Mapper, AutoNeverPredictedWorseThanPaper) {
 }
 
 TEST(Mapper, AutoGemmRespectsDpuCapacityLimit) {
-  map::clear_default_mapping_override();
+  // Pin auto: these assert Auto behaviour, which an ambient
+  // PIMDNN_MAPPING=paper would otherwise replace.
+  map::ScopedMappingOverride auto_mode("auto");
   auto req = small_gemm_request(64, 300, 64);
   // A quarantine-shrunken pool caps the plan: the infeasible 64-DPU paper
   // seed must yield to a feasible packed mapping even when the packed
@@ -268,7 +270,9 @@ TEST(Mapper, AutoGemmRespectsDpuCapacityLimit) {
 }
 
 TEST(Mapper, AutoBatchRespectsDpuCapacityLimit) {
-  map::clear_default_mapping_override();
+  // Pin auto: these assert Auto behaviour, which an ambient
+  // PIMDNN_MAPPING=paper would otherwise replace.
+  map::ScopedMappingOverride auto_mode("auto");
   map::BatchRequest req;
   req.n_items = 64;
   req.capacity = 16;

@@ -44,11 +44,11 @@ struct GemmMeta {
 };
 
 TEST(GemmBarrier, WramTiledIndependentOfTaskletSchedule) {
-  // The WramTiled kernel stages A rows from tasklet 0 and synchronizes on
-  // a barrier. Launching with the adversarial StaggeredReverse schedule
-  // (high tasklet ids enter the kernel first) must still produce the
-  // reference result — without the barrier, tasklets 1..7 would read
-  // unstaged zeros.
+  // The WramTiled kernel stages A rows from tasklet 0 in its first phase;
+  // the phase boundary is its barrier. Launching with the adversarial
+  // StaggeredReverse schedule (high tasklet ids enter the kernel first)
+  // must still produce the reference result — without the barrier,
+  // tasklets 1..7 would read unstaged zeros.
   const int m = 2, n = 300, k = 16;
   Rng rng(606);
   std::vector<std::int16_t> a(static_cast<std::size_t>(m) * k);
@@ -59,7 +59,7 @@ TEST(GemmBarrier, WramTiledIndependentOfTaskletSchedule) {
   nn::gemm_q16_reference(m, n, k, 2, a, b, expect);
 
   const auto prog = yolo::make_gemm_program(n, k, GemmVariant::WramTiled, m);
-  EXPECT_TRUE(prog.uses_barrier);
+  EXPECT_EQ(prog.phases.size(), 2u);
   sim::Dpu d;
   d.load(prog);
 
@@ -93,15 +93,25 @@ TEST(GemmBarrier, WramTiledIndependentOfTaskletSchedule) {
   EXPECT_EQ(in_order.total_slots, reversed.total_slots);
 }
 
-TEST(GemmBarrier, BarrierWaitInNonBarrierProgramThrows) {
+TEST(GemmBarrier, MalformedPhaseListRejectedAtLoad) {
   sim::DpuProgram p;
-  p.name = "no-barrier";
+  p.name = "malformed";
   p.symbols = {{"w", MemKind::Wram, 8}};
-  p.entry = [](TaskletCtx& ctx) { ctx.barrier_wait(); };
-  // uses_barrier deliberately left false.
   sim::Dpu d;
+  EXPECT_THROW(d.load(p), UsageError); // no phases at all
+  p.phases = {[](TaskletCtx& ctx) { ctx.charge_alu(1); }, nullptr};
+  EXPECT_THROW(d.load(p), UsageError); // an empty phase
+  // A fast twin replaces one whole body; it cannot stand in for phases
+  // separated by barriers.
+  p.phases.back() = [](TaskletCtx& ctx) { ctx.charge_alu(1); };
+  p.fast_entry = [](TaskletCtx& ctx) { ctx.charge_alu(2); };
+  EXPECT_THROW(d.load(p), UsageError);
+  p.fast_entry = nullptr;
   d.load(p);
-  EXPECT_THROW(d.launch(2), UsageError);
+  // Two tasklets, each: two one-ALU phases plus one boundary barrier.
+  const sim::CostModel cost(OptLevel::O3);
+  EXPECT_EQ(d.launch(2, OptLevel::O3).total_slots,
+            2 * (2 * cost.alu_stmt() + cost.barrier_stmt()));
 }
 
 // ---- DpuPool ---------------------------------------------------------------
@@ -113,7 +123,7 @@ sim::DpuProgram tiny_program(const std::string& name,
   p.name = name;
   p.symbols = {{mram_symbol, MemKind::Mram, mram_bytes},
                {"w", MemKind::Wram, 8}};
-  p.entry = [](TaskletCtx& ctx) { ctx.charge_alu(1); };
+  p.phases = {[](TaskletCtx& ctx) { ctx.charge_alu(1); }};
   return p;
 }
 

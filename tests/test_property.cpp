@@ -185,13 +185,13 @@ TEST(Property, PipelineTimingInvariants) {
     p.name = "timing";
     p.symbols = {{"m", sim::MemKind::Mram, 4096},
                  {"w", sim::MemKind::Wram, 4096}};
-    p.entry = [&work](sim::TaskletCtx& ctx) {
+    p.phases = {[&work](sim::TaskletCtx& ctx) {
       ctx.charge_alu(work[ctx.id()]);
       if (ctx.id() % 3 == 0) {
         auto buf = ctx.wram_span<std::uint8_t>("w");
         ctx.mram_read(buf.data(), ctx.mram_addr("m"), 512);
       }
-    };
+    }};
     d.load(p);
     const auto stats = d.launch(tasklets, OptLevel::O3);
 

@@ -14,7 +14,7 @@ DpuProgram program_with(std::function<void(TaskletCtx&)> fn) {
   DpuProgram p;
   p.name = "report_test";
   p.symbols = {{"m", MemKind::Mram, 1 << 20}, {"w", MemKind::Wram, 4096}};
-  p.entry = std::move(fn);
+  p.phases = {std::move(fn)};
   return p;
 }
 

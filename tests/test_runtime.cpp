@@ -18,7 +18,7 @@ DpuProgram echo_program() {
   p.symbols = {{"in", MemKind::Mram, 1024},
                {"out", MemKind::Mram, 1024},
                {"wmeta", MemKind::Wram, 8}};
-  p.entry = [](TaskletCtx& ctx) {
+  p.phases = {[](TaskletCtx& ctx) {
     if (ctx.id() != 0) return;
     std::uint8_t buf[1024];
     ctx.mram_read(buf, ctx.mram_addr("in"), 1024);
@@ -27,7 +27,7 @@ DpuProgram echo_program() {
     }
     ctx.charge_alu(1024);
     ctx.mram_write(ctx.mram_addr("out"), buf, 1024);
-  };
+  }};
   return p;
 }
 
@@ -104,10 +104,10 @@ TEST(DpuSet, LaunchRunsAllDpusAndTakesMax) {
   DpuProgram p;
   p.name = "varying";
   p.symbols = {{"amount", MemKind::Wram, 8}};
-  p.entry = [](TaskletCtx& ctx) {
+  p.phases = {[](TaskletCtx& ctx) {
     auto amount = ctx.wram_span<std::uint64_t>("amount");
     ctx.charge_alu(amount[0]);
-  };
+  }};
   set.load(p);
   for (DpuId d = 0; d < 5; ++d) {
     const std::uint64_t work = (d + 1) * 100;
@@ -145,7 +145,7 @@ TEST(DpuSet, ProfilesMergeAcrossDpus) {
   DpuProgram p;
   p.name = "float";
   p.symbols = {{"w", MemKind::Wram, 8}};
-  p.entry = [](TaskletCtx& ctx) { (void)ctx.fadd(1.0f, 2.0f); };
+  p.phases = {[](TaskletCtx& ctx) { (void)ctx.fadd(1.0f, 2.0f); }};
   set.load(p);
   const auto stats = set.launch(2, OptLevel::O3);
   // 3 DPUs x 2 tasklets x 1 fadd each.

@@ -38,7 +38,7 @@ sim::DpuProgram echo_program() {
                {"buf", MemKind::Wram, 16 * 8},
                {"in_mram", MemKind::Mram, kPerDpu * 8},
                {"out_mram", MemKind::Mram, kPerDpu * 8}};
-  p.entry = [](TaskletCtx& ctx) {
+  p.phases = {[](TaskletCtx& ctx) {
     auto meta = ctx.wram_span<std::uint64_t>("meta");
     auto consts = ctx.wram_span<std::uint64_t>("consts");
     auto buf = ctx.wram_span<std::uint64_t>("buf");
@@ -52,7 +52,7 @@ sim::DpuProgram echo_program() {
       *slot += consts[0];
       ctx.mram_write(out + i * 8, slot, 8);
     }
-  };
+  }};
   return p;
 }
 

@@ -148,7 +148,7 @@ DpuProgram trivial_program(std::function<void(TaskletCtx&)> fn) {
   p.name = "test";
   p.symbols = {{"buf", MemKind::Mram, 4096},
                {"scratch", MemKind::Wram, 1024}};
-  p.entry = std::move(fn);
+  p.phases = {std::move(fn)};
   return p;
 }
 
@@ -172,7 +172,7 @@ TEST(Dpu, SymbolPlacementIsAlignedAndChecked) {
   p.symbols = {{"a", MemKind::Wram, 5},
                {"b", MemKind::Wram, 16},
                {"m", MemKind::Mram, 100}};
-  p.entry = [](TaskletCtx&) {};
+  p.phases = {[](TaskletCtx&) {}};
   d.load(p);
   EXPECT_EQ(d.symbol("a").offset % 8, 0u);
   EXPECT_EQ(d.symbol("b").offset, 8u); // 5 rounded up to 8
@@ -186,7 +186,7 @@ TEST(Dpu, DuplicateSymbolRejected) {
   DpuProgram p;
   p.name = "dup";
   p.symbols = {{"a", MemKind::Wram, 8}, {"a", MemKind::Wram, 8}};
-  p.entry = [](TaskletCtx&) {};
+  p.phases = {[](TaskletCtx&) {}};
   EXPECT_THROW(d.load(p), SymbolError);
 }
 
@@ -195,7 +195,7 @@ TEST(Dpu, WramOverflowRejected) {
   DpuProgram p;
   p.name = "big";
   p.symbols = {{"w", MemKind::Wram, 65 * 1024}};
-  p.entry = [](TaskletCtx&) {};
+  p.phases = {[](TaskletCtx&) {}};
   EXPECT_THROW(d.load(p), CapacityError);
 }
 
@@ -346,7 +346,7 @@ TEST(Dpu, BatchedChargingEqualsPerOpCharging) {
     DpuProgram p;
     p.name = "parity";
     p.symbols = {{"w", MemKind::Wram, 8}};
-    p.entry = [=](TaskletCtx& ctx) {
+    p.phases = {[=](TaskletCtx& ctx) {
       if (batched) {
         ctx.charge_loop(n);
         ctx.charge_mul(16, n);
@@ -358,7 +358,7 @@ TEST(Dpu, BatchedChargingEqualsPerOpCharging) {
           (void)ctx.add(i, i);
         }
       }
-    };
+    }};
     d.load(p);
     return d.launch(1, OptLevel::O0);
   };
@@ -375,9 +375,9 @@ TEST(Dpu, UnbalancedTaskletsBoundedBySlowest) {
   DpuProgram p;
   p.name = "unbal";
   p.symbols = {{"w", MemKind::Wram, 8}};
-  p.entry = [](TaskletCtx& ctx) {
+  p.phases = {[](TaskletCtx& ctx) {
     ctx.charge_alu(ctx.id() == 0 ? 1000 : 10);
-  };
+  }};
   d.load(p);
   const auto stats = d.launch(4, OptLevel::O3);
   // Latency bound of tasklet 0 dominates: 11 * 1000.
