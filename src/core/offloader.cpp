@@ -7,7 +7,6 @@
 #include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "map/space.hpp"
-#include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "runtime/host_timer.hpp"
 #include "runtime/kernel_session.hpp"
@@ -53,7 +52,7 @@ void chunked_write(TaskletCtx& ctx, MemSize dst, const std::uint8_t* src,
 Offloader::Offloader(WorkloadSpec spec, ItemKernel kernel,
                      const runtime::UpmemConfig& sys)
     : spec_(std::move(spec)), kernel_(std::move(kernel)), sys_(sys),
-      pool_(sys) {
+      banks_(sys) {
   require(static_cast<bool>(kernel_), "Offloader needs a kernel");
   if (spec_.item_in_bytes == 0 || spec_.item_out_bytes == 0) {
     throw ConfigError("WorkloadSpec: item sizes must be positive");
@@ -167,7 +166,7 @@ map::MappingPlan Offloader::resolve_batch_plan(runtime::DpuPool& pool,
   return map::Mapper().plan_batch(mreq);
 }
 
-Offloader::PendingBatch Offloader::start_batch(
+runtime::PendingBatch Offloader::start_batch(
     runtime::DpuPool& pool,
     const std::vector<std::vector<std::uint8_t>>& items,
     std::size_t first, std::size_t count, const map::MappingPlan& plan,
@@ -175,17 +174,13 @@ Offloader::PendingBatch Offloader::start_batch(
     std::size_t item) {
   require(count > 0 && first + count <= items.size(),
           "Offloader::run: bad batch sub-range");
-  for (const auto& it : items) {
-    require(it.size() == spec_.item_in_bytes,
-            "Offloader::run: item size mismatch");
-  }
 
   const std::uint32_t n_tasklets = plan.n_tasklets;
   const std::uint32_t per_dpu = plan.items_per_dpu;
   const auto n_dpus = KernelSession::dpus_for(count, per_dpu);
 
   const sim::HostXferStats before = pool.host_stats();
-  PendingBatch pb;
+  runtime::PendingBatch pb;
   pb.pool = &pool;
   pb.items = &items;
   pb.n_tasklets = n_tasklets;
@@ -234,7 +229,7 @@ Offloader::PendingBatch Offloader::start_batch(
   return pb;
 }
 
-OffloadResult Offloader::finish_batch(PendingBatch pending,
+OffloadResult Offloader::finish_batch(runtime::PendingBatch pending,
                                       runtime::PipelineModel* model) {
   KernelSession& session = *pending.session;
   const std::vector<std::vector<std::uint8_t>>& items = *pending.items;
@@ -281,191 +276,60 @@ OffloadResult Offloader::finish_batch(PendingBatch pending,
   return out;
 }
 
-OffloadResult Offloader::run_split(
-    const std::vector<std::vector<std::uint8_t>>& items,
-    const map::MappingPlan& plan, runtime::OptLevel opt,
-    runtime::PipelineModel* model, std::size_t item_base) {
-  const std::uint32_t per_dpu = plan.items_per_dpu;
-  const std::uint32_t n_dpus =
-      KernelSession::dpus_for(items.size(), per_dpu);
-  const std::vector<map::SplitRange> ranges =
-      map::split_ranges(n_dpus, plan.split);
-  if (ranges.size() <= 1) {
-    return finish_batch(start_batch(pool_, items, 0, items.size(), plan,
-                                    opt, model, 0, item_base),
-                        model);
+std::vector<OffloadResult> Offloader::execute(
+    std::span<const std::vector<std::vector<std::uint8_t>>> batches,
+    std::uint32_t n_tasklets, runtime::OptLevel opt,
+    runtime::PipelineModel* model) {
+  for (const auto& batch : batches) {
+    for (const auto& it : batch) {
+      require(it.size() == spec_.item_in_bytes,
+              "Offloader::run: item size mismatch");
+    }
   }
-  if (!pool_alt_.has_value()) {
-    pool_alt_.emplace(sys_);
-  }
-  pool_.set_obs_bank(0);
-  pool_alt_->set_obs_bank(1);
-  runtime::DpuPool* banks[2] = {&pool_, &*pool_alt_};
-
-  OffloadResult out;
-  out.split = static_cast<std::uint32_t>(ranges.size());
-  out.outputs.reserve(items.size());
-
-  // Sub-launch s on bank s%2, at most two in flight, drained in chunk
-  // order; chunks cover contiguous ascending item ranges, so appending
-  // keeps input order (same choreography as run_pipelined, turned inward).
-  std::optional<PendingBatch> pending[2];
-  auto drain = [&](unsigned slot) {
-    if (!pending[slot].has_value()) {
-      return;
-    }
-    OffloadResult sub = finish_batch(std::move(*pending[slot]), model);
-    pending[slot].reset();
-    for (auto& o : sub.outputs) {
-      out.outputs.push_back(std::move(o));
-    }
-    out.launch.merge(sub.launch);
-    out.dpus_used += sub.dpus_used;
-  };
-  try {
-    for (std::size_t s = 0; s < ranges.size(); ++s) {
-      const unsigned slot = static_cast<unsigned>(s % 2);
-      drain(slot);
-      const map::SplitRange& r = ranges[s];
-      const std::size_t first =
-          static_cast<std::size_t>(r.first_unit) * per_dpu;
-      const std::size_t count = std::min<std::size_t>(
-          static_cast<std::size_t>(r.n_units) * per_dpu,
-          items.size() - first);
-      pending[slot] = start_batch(*banks[slot], items, first, count, plan,
-                                  opt, model, slot, item_base + s);
-    }
-    drain(static_cast<unsigned>(ranges.size() % 2));
-    drain(static_cast<unsigned>((ranges.size() + 1) % 2));
-  } catch (...) {
-    for (auto& p : pending) {
-      if (p.has_value() && p->handle.valid()) {
-        try {
-          p->handle.wait();
-        } catch (...) {
+  return map::run_batches(
+      batches,
+      [&](unsigned bank, std::size_t n_items, std::uint32_t max_split) {
+        return resolve_batch_plan(banks_[bank], n_items, n_tasklets,
+                                  max_split);
+      },
+      [&](const std::vector<std::vector<std::uint8_t>>& batch,
+          std::size_t first, std::size_t count, const map::MappingPlan& plan,
+          unsigned bank, std::size_t w) {
+        return start_batch(banks_[bank], batch, first, count, plan, opt,
+                           model, bank, w);
+      },
+      [&](runtime::PendingBatch p) {
+        return finish_batch(std::move(p), model);
+      },
+      [](OffloadResult& whole, OffloadResult&& chunk) {
+        for (auto& o : chunk.outputs) {
+          whole.outputs.push_back(std::move(o));
         }
-      }
-    }
-    throw;
-  }
-  return out;
+        whole.launch.merge(chunk.launch);
+        whole.dpus_used += chunk.dpus_used;
+      });
 }
 
 OffloadResult Offloader::run(
     const std::vector<std::vector<std::uint8_t>>& items,
     std::uint32_t n_tasklets, runtime::OptLevel opt) {
-  const map::MappingPlan plan = resolve_batch_plan(
-      pool_, items.size(), n_tasklets, map::kMaxSplitFactor);
-  if (plan.split > 1) {
-    return run_split(items, plan, opt, nullptr, 0);
-  }
-  // Start + immediately finish: the waitable handle executes the launch
-  // inline when no worker picked it up, so this is the synchronous path.
-  return finish_batch(
-      start_batch(pool_, items, 0, items.size(), plan, opt, nullptr, 0, 0),
-      nullptr);
+  return std::move(
+      execute(std::span(&items, 1), n_tasklets, opt, nullptr).front());
 }
 
 OffloadPipelineResult Offloader::run_pipelined(
     const std::vector<std::vector<std::vector<std::uint8_t>>>& batches,
     std::uint32_t n_tasklets, runtime::OptLevel opt) {
   OffloadPipelineResult out;
-  out.batches.resize(batches.size());
   if (batches.empty()) {
     return out;
   }
-  obs::Span sp("offload.pipeline", "pipeline");
-  if (sp.active()) {
-    sp.u64("n_batches", batches.size());
-  }
-  if (!pool_alt_.has_value()) {
-    pool_alt_.emplace(sys_);
-  }
-  runtime::DpuPool* banks[2] = {&pool_, &*pool_alt_};
-  banks[0]->set_obs_bank(0);
-  banks[1]->set_obs_bank(1);
-  runtime::PipelineModel model(2);
-  const bool tracing = obs::Tracer::enabled();
-  const double trace_since_us =
-      tracing ? obs::Tracer::instance().now_us() : 0.0;
-
-  // A lone batch cannot overlap with a neighbor, but a split plan can
-  // overlap with itself: carve it across the two banks instead.
-  bool ran_split = false;
-  if (batches.size() == 1) {
-    const map::MappingPlan plan = resolve_batch_plan(
-        pool_, batches[0].size(), n_tasklets, map::kMaxSplitFactor);
-    if (plan.split > 1) {
-      out.batches[0] = run_split(batches[0], plan, opt, &model, 0);
-      ran_split = true;
-    }
-  }
-
-  // Double-buffered dispatch: batch i on bank i%2, finishing that bank's
-  // previous batch first — at most two in flight, each bank serialized.
-  std::optional<PendingBatch> pending[2];
-  try {
-    for (std::size_t i = 0; !ran_split && i < batches.size(); ++i) {
-      const unsigned bank = static_cast<unsigned>(i % 2);
-      if (pending[bank].has_value()) {
-        const std::size_t done = pending[bank]->item;
-        out.batches[done] =
-            finish_batch(std::move(*pending[bank]), &model);
-        pending[bank].reset();
-      }
-      const map::MappingPlan plan = resolve_batch_plan(
-          *banks[bank], batches[i].size(), n_tasklets, 1);
-      pending[bank] = start_batch(*banks[bank], batches[i], 0,
-                                  batches[i].size(), plan, opt, &model,
-                                  bank, i);
-    }
-    // Drain in item order so the host-lane stages stay chronological.
-    for (unsigned b = 0; b < 2; ++b) {
-      const unsigned bank =
-          static_cast<unsigned>((batches.size() + b) % 2);
-      if (pending[bank].has_value()) {
-        const std::size_t done = pending[bank]->item;
-        out.batches[done] =
-            finish_batch(std::move(*pending[bank]), &model);
-        pending[bank].reset();
-      }
-    }
-  } catch (...) {
-    // In-flight launches reference sessions owned by `pending`: wait them
-    // out before unwinding.
-    for (auto& p : pending) {
-      if (p.has_value() && p->handle.valid()) {
-        try {
-          p->handle.wait();
-        } catch (...) {
-        }
-      }
-    }
-    throw;
-  }
-
-  out.pipeline = model.stats();
-  if (sp.active()) {
-    sp.f64("makespan_ms", out.pipeline.makespan_seconds * 1e3);
-    sp.f64("speedup", out.pipeline.speedup());
-  }
-  if (tracing) {
-    const obs::Timeline tl = obs::Timeline::from_events(
-        obs::Tracer::instance().snapshot(), trace_since_us);
-    if (tl.stages() > 0) {
-      out.timeline = tl.report();
-      obs::record_drift("offload", *out.timeline,
-                        out.pipeline.makespan_seconds,
-                        out.pipeline.overlap_efficiency());
-    }
-  }
-  if (obs::SloTracker::enabled()) {
-    for (const OffloadResult& b : out.batches) {
-      obs::SloTracker::instance().record(
-          "offload.batch",
-          (b.launch.host.host_seconds() + b.launch.wall_seconds) * 1e3);
-    }
-  }
+  runtime::PipelineRun run("offload", "n_batches", batches.size());
+  out.batches = execute(batches, n_tasklets, opt, &run.model());
+  run.close(out.pipeline, out.timeline, out.batches, "offload.batch",
+            [](const OffloadResult& b) {
+              return b.launch.host.host_seconds() + b.launch.wall_seconds;
+            });
   return out;
 }
 

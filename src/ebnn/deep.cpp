@@ -11,7 +11,6 @@
 #include "map/space.hpp"
 #include "nn/bitpack.hpp"
 #include "nn/layers.hpp"
-#include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "runtime/host_timer.hpp"
 #include "runtime/kernel_session.hpp"
@@ -651,7 +650,7 @@ DeepEbnnHost::DeepEbnnHost(const DeepEbnnConfig& cfg,
       dims_(deep_dims(cfg)),
       tail_(weights_.fc, cfg_.classes,
             static_cast<std::size_t>(deep_feature_bits(cfg_))),
-      pool_(sys) {
+      banks_(sys) {
   for (std::size_t b = 0; b < cfg_.blocks.size(); ++b) {
     luts_.push_back(build_bn_binact_lut_range(-dims_[b].taps, dims_[b].taps,
                                               weights_.bn[b]));
@@ -699,7 +698,7 @@ map::MappingPlan DeepEbnnHost::resolve_batch_plan(
   return map::Mapper().plan_batch(mreq);
 }
 
-DeepEbnnHost::PendingBatch DeepEbnnHost::start_batch(
+runtime::PendingBatch DeepEbnnHost::start_batch(
     runtime::DpuPool& pool, const std::vector<Image>& images,
     std::size_t first, std::size_t count, const map::MappingPlan& plan,
     runtime::OptLevel opt, runtime::PipelineModel* model, unsigned bank,
@@ -708,9 +707,6 @@ DeepEbnnHost::PendingBatch DeepEbnnHost::start_batch(
           "DeepEbnnHost::run: bad batch sub-range");
   const std::size_t img_bytes =
       static_cast<std::size_t>(cfg_.img_h) * cfg_.img_w;
-  for (const auto& im : images) {
-    require(im.size() == img_bytes, "DeepEbnnHost::run: wrong image size");
-  }
   const DeepKernelParams params = make_params(cfg_, dims_, sys_);
 
   // Symbol sizes are needed to build the program even when the flattened
@@ -727,9 +723,9 @@ DeepEbnnHost::PendingBatch DeepEbnnHost::start_batch(
   const auto n_dpus = KernelSession::dpus_for(count, per_dpu);
 
   const sim::HostXferStats before = pool.host_stats();
-  PendingBatch pb;
+  runtime::PendingBatch pb;
   pb.pool = &pool;
-  pb.images = &images;
+  pb.items = &images;
   pb.n_dpus = n_dpus;
   pb.per_dpu = per_dpu;
   pb.bank = bank;
@@ -781,9 +777,9 @@ DeepEbnnHost::PendingBatch DeepEbnnHost::start_batch(
 }
 
 DeepEbnnBatchResult DeepEbnnHost::finish_batch(
-    PendingBatch pending, runtime::PipelineModel* model) {
+    runtime::PendingBatch pending, runtime::PipelineModel* model) {
   KernelSession& session = *pending.session;
-  const std::vector<Image>& images = *pending.images;
+  const std::vector<Image>& images = *pending.items;
   const DeepKernelParams params = make_params(cfg_, dims_, sys_);
   const std::uint32_t per_dpu = pending.per_dpu;
   const std::size_t feat_words =
@@ -847,79 +843,41 @@ DeepEbnnBatchResult DeepEbnnHost::finish_batch(
   return out;
 }
 
-DeepEbnnBatchResult DeepEbnnHost::run_split(
-    const std::vector<Image>& images, const map::MappingPlan& plan,
-    runtime::OptLevel opt, runtime::PipelineModel* model,
-    std::size_t item_base) {
-  const std::uint32_t per_dpu = plan.items_per_dpu;
-  const std::uint32_t n_dpus =
-      KernelSession::dpus_for(images.size(), per_dpu);
-  const std::vector<map::SplitRange> ranges =
-      map::split_ranges(n_dpus, plan.split);
-  if (ranges.size() <= 1) {
-    return finish_batch(start_batch(pool_, images, 0, images.size(), plan,
-                                    opt, model, 0, item_base),
-                        model);
+std::vector<DeepEbnnBatchResult> DeepEbnnHost::execute(
+    std::span<const std::vector<Image>> batches, std::uint32_t n_tasklets,
+    runtime::OptLevel opt, runtime::PipelineModel* model) {
+  const std::size_t img_bytes =
+      static_cast<std::size_t>(cfg_.img_h) * cfg_.img_w;
+  for (const std::vector<Image>& batch : batches) {
+    for (const Image& im : batch) {
+      require(im.size() == img_bytes, "DeepEbnnHost::run: wrong image size");
+    }
   }
-  if (!pool_alt_.has_value()) {
-    pool_alt_.emplace(sys_);
-  }
-  pool_.set_obs_bank(0);
-  pool_alt_->set_obs_bank(1);
-  runtime::DpuPool* banks[2] = {&pool_, &*pool_alt_};
-
-  DeepEbnnBatchResult out;
-  out.split = static_cast<std::uint32_t>(ranges.size());
-  out.images_per_dpu = per_dpu;
-  out.predicted.reserve(images.size());
-  out.features.reserve(images.size());
-
-  // Sub-launch s on bank s%2, at most two in flight, drained in chunk
-  // order; chunks cover contiguous ascending image ranges, so appending
-  // keeps input order (mirrors EbnnHost::run_split).
-  std::optional<PendingBatch> pending[2];
-  auto drain = [&](unsigned slot) {
-    if (!pending[slot].has_value()) {
-      return;
-    }
-    DeepEbnnBatchResult sub = finish_batch(std::move(*pending[slot]), model);
-    pending[slot].reset();
-    out.predicted.insert(out.predicted.end(), sub.predicted.begin(),
-                         sub.predicted.end());
-    for (auto& f : sub.features) {
-      out.features.push_back(std::move(f));
-    }
-    out.launch.merge(sub.launch);
-    out.dpus_used += sub.dpus_used;
-    out.host_tail_seconds += sub.host_tail_seconds;
-  };
-  try {
-    for (std::size_t s = 0; s < ranges.size(); ++s) {
-      const unsigned slot = static_cast<unsigned>(s % 2);
-      drain(slot);
-      const map::SplitRange& r = ranges[s];
-      const std::size_t first =
-          static_cast<std::size_t>(r.first_unit) * per_dpu;
-      const std::size_t count = std::min<std::size_t>(
-          static_cast<std::size_t>(r.n_units) * per_dpu,
-          images.size() - first);
-      pending[slot] = start_batch(*banks[slot], images, first, count, plan,
-                                  opt, model, slot, item_base + s);
-    }
-    drain(static_cast<unsigned>(ranges.size() % 2));
-    drain(static_cast<unsigned>((ranges.size() + 1) % 2));
-  } catch (...) {
-    for (auto& p : pending) {
-      if (p.has_value() && p->handle.valid()) {
-        try {
-          p->handle.wait();
-        } catch (...) {
+  return map::run_batches(
+      batches,
+      [&](unsigned bank, std::size_t n_images, std::uint32_t max_split) {
+        return resolve_batch_plan(banks_[bank], n_images, n_tasklets, opt,
+                                  max_split);
+      },
+      [&](const std::vector<Image>& batch, std::size_t first,
+          std::size_t count, const map::MappingPlan& plan, unsigned bank,
+          std::size_t w) {
+        return start_batch(banks_[bank], batch, first, count, plan, opt,
+                           model, bank, w);
+      },
+      [&](runtime::PendingBatch p) {
+        return finish_batch(std::move(p), model);
+      },
+      [](DeepEbnnBatchResult& whole, DeepEbnnBatchResult&& chunk) {
+        whole.predicted.insert(whole.predicted.end(), chunk.predicted.begin(),
+                               chunk.predicted.end());
+        for (auto& f : chunk.features) {
+          whole.features.push_back(std::move(f));
         }
-      }
-    }
-    throw;
-  }
-  return out;
+        whole.launch.merge(chunk.launch);
+        whole.dpus_used += chunk.dpus_used;
+        whole.host_tail_seconds += chunk.host_tail_seconds;
+      });
 }
 
 DeepEbnnBatchResult DeepEbnnHost::run(const std::vector<Image>& images,
@@ -929,113 +887,24 @@ DeepEbnnBatchResult DeepEbnnHost::run(const std::vector<Image>& images,
   if (batch_sp.active()) {
     batch_sp.u64("n_images", images.size());
   }
-  const map::MappingPlan plan = resolve_batch_plan(
-      pool_, images.size(), n_tasklets, opt, map::kMaxSplitFactor);
-  if (plan.split > 1) {
-    return run_split(images, plan, opt, nullptr, 0);
-  }
-  return finish_batch(
-      start_batch(pool_, images, 0, images.size(), plan, opt, nullptr, 0, 0),
-      nullptr);
+  return std::move(
+      execute(std::span(&images, 1), n_tasklets, opt, nullptr).front());
 }
 
 DeepEbnnPipelineResult DeepEbnnHost::run_pipelined(
     const std::vector<std::vector<Image>>& batches,
     std::uint32_t n_tasklets, runtime::OptLevel opt) {
   DeepEbnnPipelineResult out;
-  out.batches.resize(batches.size());
   if (batches.empty()) {
     return out;
   }
-  obs::Span sp("deep_ebnn.pipeline", "pipeline");
-  if (sp.active()) {
-    sp.u64("n_batches", batches.size());
-  }
-  if (!pool_alt_.has_value()) {
-    pool_alt_.emplace(sys_);
-  }
-  runtime::DpuPool* banks[2] = {&pool_, &*pool_alt_};
-  banks[0]->set_obs_bank(0);
-  banks[1]->set_obs_bank(1);
-  runtime::PipelineModel model(2);
-  const bool tracing = obs::Tracer::enabled();
-  const double trace_since_us =
-      tracing ? obs::Tracer::instance().now_us() : 0.0;
-
-  // A lone batch cannot overlap with a neighbor, but a split plan can
-  // overlap with itself: carve it across the two banks instead.
-  bool ran_split = false;
-  if (batches.size() == 1) {
-    const map::MappingPlan plan = resolve_batch_plan(
-        pool_, batches[0].size(), n_tasklets, opt, map::kMaxSplitFactor);
-    if (plan.split > 1) {
-      out.batches[0] = run_split(batches[0], plan, opt, &model, 0);
-      ran_split = true;
-    }
-  }
-
-  std::optional<PendingBatch> pending[2];
-  try {
-    for (std::size_t i = 0; !ran_split && i < batches.size(); ++i) {
-      const unsigned bank = static_cast<unsigned>(i % 2);
-      if (pending[bank].has_value()) {
-        const std::size_t done = pending[bank]->item;
-        out.batches[done] =
-            finish_batch(std::move(*pending[bank]), &model);
-        pending[bank].reset();
-      }
-      const map::MappingPlan plan = resolve_batch_plan(
-          *banks[bank], batches[i].size(), n_tasklets, opt, 1);
-      pending[bank] = start_batch(*banks[bank], batches[i], 0,
-                                  batches[i].size(), plan, opt, &model,
-                                  bank, i);
-    }
-    // Drain in item order so the host-lane stages stay chronological.
-    for (unsigned b = 0; b < 2; ++b) {
-      const unsigned bank =
-          static_cast<unsigned>((batches.size() + b) % 2);
-      if (pending[bank].has_value()) {
-        const std::size_t done = pending[bank]->item;
-        out.batches[done] =
-            finish_batch(std::move(*pending[bank]), &model);
-        pending[bank].reset();
-      }
-    }
-  } catch (...) {
-    for (auto& p : pending) {
-      if (p.has_value() && p->handle.valid()) {
-        try {
-          p->handle.wait();
-        } catch (...) {
-        }
-      }
-    }
-    throw;
-  }
-
-  out.pipeline = model.stats();
-  if (sp.active()) {
-    sp.f64("makespan_ms", out.pipeline.makespan_seconds * 1e3);
-    sp.f64("speedup", out.pipeline.speedup());
-  }
-  if (tracing) {
-    const obs::Timeline tl = obs::Timeline::from_events(
-        obs::Tracer::instance().snapshot(), trace_since_us);
-    if (tl.stages() > 0) {
-      out.timeline = tl.report();
-      obs::record_drift("deep_ebnn", *out.timeline,
-                        out.pipeline.makespan_seconds,
-                        out.pipeline.overlap_efficiency());
-    }
-  }
-  if (obs::SloTracker::enabled()) {
-    for (const DeepEbnnBatchResult& b : out.batches) {
-      obs::SloTracker::instance().record(
-          "deep_ebnn.batch", (b.launch.host.host_seconds() +
-                              b.launch.wall_seconds + b.host_tail_seconds) *
-                                 1e3);
-    }
-  }
+  runtime::PipelineRun run("deep_ebnn", "n_batches", batches.size());
+  out.batches = execute(batches, n_tasklets, opt, &run.model());
+  run.close(out.pipeline, out.timeline, out.batches, "deep_ebnn.batch",
+            [](const DeepEbnnBatchResult& b) {
+              return b.launch.host.host_seconds() + b.launch.wall_seconds +
+                     b.host_tail_seconds;
+            });
   return out;
 }
 

@@ -22,8 +22,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "ebnn/dpu_kernel.hpp"
@@ -114,39 +114,13 @@ public:
   /// Cumulative host-side accounting of the host's pools across every
   /// batch run so far.
   sim::HostXferStats pool_host_stats() const {
-    sim::HostXferStats out = pool_.host_stats();
-    if (pool_alt_.has_value()) {
-      out += pool_alt_->host_stats();
-    }
-    return out;
+    return banks_.host_stats();
   }
 
 private:
-  /// One in-flight batch (or split sub-batch): its session, the waitable
-  /// launch handle, and what finish_batch needs to gather and post-process
-  /// it.
-  struct PendingBatch {
-    std::unique_ptr<runtime::KernelSession> session;
-    runtime::KernelSession::LaunchHandle handle;
-    runtime::DpuPool* pool = nullptr;
-    const std::vector<Image>* images = nullptr;
-    std::uint32_t n_dpus = 0;
-    /// Images per DPU the resolved mapping chose (finish_batch's gather
-    /// must use the same slot count the scatter did).
-    std::uint32_t per_dpu = 0;
-    unsigned bank = 0;
-    std::size_t item = 0;
-    /// Image sub-range this launch covers: [first, first + count) of
-    /// *images. The whole batch for the unsplit path; one split_ranges
-    /// chunk for a split sub-launch.
-    std::size_t first = 0;
-    std::size_t count = 0;
-  };
-
   /// Resolves the (images_per_dpu, tasklets, split) mapping for a batch of
   /// `n_images` against `pool`'s health picture. `max_split > 1` only for
-  /// call sites that can execute a split plan (run / single-batch
-  /// run_pipelined).
+  /// a lone batch, whose split plan can use both banks.
   map::MappingPlan resolve_batch_plan(runtime::DpuPool& pool,
                                       std::size_t n_images,
                                       std::uint32_t n_tasklets,
@@ -157,46 +131,37 @@ private:
   /// on `pool` under the pre-resolved `plan`. When `model` is non-null,
   /// the scatter's measured to-DPU + load walls are reported as item
   /// `item`'s transfer stage on bank lane `bank`.
-  PendingBatch start_batch(runtime::DpuPool& pool,
-                           const std::vector<Image>& images,
-                           std::size_t first, std::size_t count,
-                           const map::MappingPlan& plan,
-                           runtime::OptLevel opt,
-                           runtime::PipelineModel* model, unsigned bank,
-                           std::size_t item);
+  runtime::PendingBatch start_batch(
+      runtime::DpuPool& pool, const std::vector<Image>& images,
+      std::size_t first, std::size_t count, const map::MappingPlan& plan,
+      runtime::OptLevel opt, runtime::PipelineModel* model, unsigned bank,
+      std::size_t item);
 
   /// Waits for the launch, gathers, and runs the host tail over the
   /// pending sub-range. Reports the kernel's simulated wall, the gather
   /// wall and the measured tail to `model` when non-null.
-  EbnnBatchResult finish_batch(PendingBatch pending,
+  EbnnBatchResult finish_batch(runtime::PendingBatch pending,
                                runtime::PipelineModel* model);
 
-  /// Executes a split plan (`plan.split >= 2`): the batch's DPU groups are
-  /// carved into sub-launches (map::split_ranges), sub-launch s runs on
-  /// bank s%2 across pool_/pool_alt_, at most two in flight — the same
-  /// double-buffer choreography run_pipelined uses across batches, turned
-  /// inward on one batch. Results are bit-identical to the unsplit path
-  /// (every image's inference is independent). Sub-launch s reports its
-  /// stages to `model` as item `item_base + s` when model is non-null.
-  EbnnBatchResult run_split(const std::vector<Image>& images,
-                            const map::MappingPlan& plan,
-                            runtime::OptLevel opt,
-                            runtime::PipelineModel* model,
-                            std::size_t item_base);
+  /// The one double-buffered loop behind run() and run_pipelined():
+  /// validates every image once, then runs map::run_batches over the two
+  /// banks — a lone batch as its plan's chunks, several batches
+  /// whole. Work item w reports its stages to `model` as item w when
+  /// model is non-null.
+  std::vector<EbnnBatchResult> execute(
+      std::span<const std::vector<Image>> batches, std::uint32_t n_tasklets,
+      runtime::OptLevel opt, runtime::PipelineModel* model);
 
   EbnnConfig cfg_;
   EbnnWeights weights_;
   BnMode mode_;
   ConvKernel kernel_;
-  runtime::UpmemConfig sys_;
   EbnnLayout layout_;
   BnBinactLut lut_;
   EbnnReference reference_;
   /// The per-image host tail (FC + softmax) over gathered feature bits.
   FcTail tail_;
-  runtime::DpuPool pool_;
-  /// Second bank for run_pipelined, created on first use.
-  std::optional<runtime::DpuPool> pool_alt_;
+  runtime::DpuBanks banks_;
 };
 
 } // namespace pimdnn::ebnn

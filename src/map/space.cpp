@@ -39,6 +39,20 @@ std::vector<SplitRange> split_ranges(std::size_t total_units,
   return out;
 }
 
+std::vector<ItemRange> split_items(std::size_t n_items,
+                                   std::uint32_t items_per_unit,
+                                   std::uint32_t split) {
+  std::vector<ItemRange> out;
+  const std::size_t units = (n_items + items_per_unit - 1) / items_per_unit;
+  for (const SplitRange& r : split_ranges(units, split)) {
+    const std::size_t first = r.first_unit * items_per_unit;
+    out.push_back(
+        {first, std::min<std::size_t>(r.n_units * items_per_unit,
+                                      n_items - first)});
+  }
+  return out;
+}
+
 std::vector<std::uint32_t> split_candidates(std::size_t total_units,
                                             std::uint32_t max_split) {
   std::vector<std::uint32_t> out;

@@ -452,4 +452,23 @@ sim::HostXferStats DpuPool::host_stats() const {
   return out;
 }
 
+DpuPool& DpuBanks::operator[](unsigned bank) {
+  if (bank == 0) {
+    return bank0_;
+  }
+  if (!bank1_.has_value()) {
+    bank1_.emplace(cfg_);
+    bank1_->set_obs_bank(1);
+  }
+  return *bank1_;
+}
+
+sim::HostXferStats DpuBanks::host_stats() const {
+  sim::HostXferStats out = bank0_.host_stats();
+  if (bank1_.has_value()) {
+    out += bank1_->host_stats();
+  }
+  return out;
+}
+
 } // namespace pimdnn::runtime

@@ -314,4 +314,23 @@ private:
   unsigned obs_bank_ = 0;
 };
 
+/// The two bank pools of a double-buffered host: bank 0 exists from
+/// construction, bank 1 is created on first use (single-launch work never
+/// pays for it) and labelled 1 in obs spans.
+class DpuBanks {
+public:
+  explicit DpuBanks(const UpmemConfig& cfg) : cfg_(cfg), bank0_(cfg) {}
+
+  /// Bank `bank`'s pool (0 or 1).
+  DpuPool& operator[](unsigned bank);
+
+  /// Host-side accounting summed over the banks created so far.
+  sim::HostXferStats host_stats() const;
+
+private:
+  UpmemConfig cfg_;
+  DpuPool bank0_;
+  std::optional<DpuPool> bank1_;
+};
+
 } // namespace pimdnn::runtime

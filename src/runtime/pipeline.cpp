@@ -154,4 +154,34 @@ PipelineStats PipelineModel::stats() const {
   return s;
 }
 
+PipelineRun::PipelineRun(std::string name, const char* count_key,
+                         std::size_t n_items)
+    : name_(std::move(name)),
+      span_((name_ + ".pipeline").c_str(), "pipeline"),
+      tracing_(obs::Tracer::enabled()),
+      trace_since_us_(tracing_ ? obs::Tracer::instance().now_us() : 0.0) {
+  if (span_.active()) {
+    span_.u64(count_key, n_items);
+  }
+}
+
+void PipelineRun::publish(PipelineStats& stats,
+                          std::optional<obs::TimelineReport>& timeline) {
+  stats = model_.stats();
+  if (span_.active()) {
+    span_.f64("makespan_ms", stats.makespan_seconds * 1e3);
+    span_.f64("serial_ms", stats.serial_seconds * 1e3);
+    span_.f64("speedup", stats.speedup());
+  }
+  if (tracing_) {
+    const obs::Timeline tl = obs::Timeline::from_events(
+        obs::Tracer::instance().snapshot(), trace_since_us_);
+    if (tl.stages() > 0) {
+      timeline = tl.report();
+      obs::record_drift(name_.c_str(), *timeline, stats.makespan_seconds,
+                        stats.overlap_efficiency());
+    }
+  }
+}
+
 } // namespace pimdnn::runtime

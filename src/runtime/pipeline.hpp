@@ -36,13 +36,25 @@
 // what a many-core host reports. One structural constraint of the
 // double-buffered executors is kept: item i never starts before item i-2
 // finished (at most two in flight).
+//
+// `run_double_buffered` is that executor — the one two-bank ring every
+// pipelined offload runs on — and `PipelineRun` the obs bracket every
+// `run_pipelined` shares around it.
 #pragma once
 
 #include <cstddef>
 #include <mutex>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
+#include "obs/slo.hpp"
+#include "obs/timeline.hpp"
+#include "obs/trace.hpp"
 
 namespace pimdnn::runtime {
 
@@ -114,6 +126,93 @@ private:
   Seconds host_busy_ = 0.0;
   Seconds dpu_busy_ = 0.0;
   Seconds makespan_ = 0.0;
+};
+
+/// The double-buffer executor (DESIGN.md §11). Item i runs on bank i%2:
+/// its bank's previous occupant, item i-2, is handed to `finish` before
+/// `start(i, bank)` runs, so at most two items are in flight and each
+/// bank serializes. `finish` runs on the calling thread in item order
+/// (the last two after the loop); 0 items call nothing.
+///
+/// `start` returns the item's pending state: any movable type with a
+/// `wait()` that blocks until the item's in-flight work (a launch, a
+/// HostPool task) is done and is safe to call repeatedly. `finish`
+/// receives it as an rvalue and waits on it before gathering.
+///
+/// Exception contract: when `start` or `finish` throws, no further item
+/// starts, every item still in flight is waited out (exceptions from
+/// those waits are swallowed), and then the first exception propagates —
+/// in-flight work references state the unwinding caller owns.
+template <class Start, class Finish>
+void run_double_buffered(std::size_t n_items, Start&& start,
+                         Finish&& finish) {
+  using Pending = std::invoke_result_t<Start&, std::size_t, unsigned>;
+  std::optional<Pending> slot[2];
+  const auto retire = [&](std::optional<Pending>& s) {
+    if (s.has_value()) {
+      finish(std::move(*s));
+      s.reset();
+    }
+  };
+  try {
+    for (std::size_t i = 0; i < n_items; ++i) {
+      const auto bank = static_cast<unsigned>(i % 2);
+      retire(slot[bank]);
+      slot[bank].emplace(start(i, bank));
+    }
+    retire(slot[n_items % 2]);
+    retire(slot[(n_items + 1) % 2]);
+  } catch (...) {
+    for (std::optional<Pending>& s : slot) {
+      if (s.has_value()) {
+        try {
+          s->wait();
+        } catch (...) {
+        }
+      }
+    }
+    throw;
+  }
+}
+
+/// Obs bracket of one `run_pipelined` call: opens the `<name>.pipeline`
+/// span (the item count under `count_key`) and owns the two-bank
+/// PipelineModel the executor's stages report to. `close` publishes the
+/// completed run: the model's stats (also onto the span), the Timeline
+/// rebuilt from this run's `pipe.stage` spans and its `record_drift`
+/// under tracing, and one SLO sample per item.
+class PipelineRun {
+public:
+  PipelineRun(std::string name, const char* count_key, std::size_t n_items);
+
+  /// The model the run's stages report to.
+  PipelineModel& model() { return model_; }
+
+  /// Publishes the run into `stats` / `timeline` and records each result's
+  /// `latency_seconds(result)` under SLO signature `slo_signature`.
+  template <class Results, class LatencySeconds>
+  void close(PipelineStats& stats,
+             std::optional<obs::TimelineReport>& timeline,
+             const Results& results, std::string_view slo_signature,
+             LatencySeconds&& latency_seconds) {
+    publish(stats, timeline);
+    if (obs::SloTracker::enabled()) {
+      for (const auto& r : results) {
+        obs::SloTracker::instance().record(slo_signature,
+                                           latency_seconds(r) * 1e3);
+      }
+    }
+  }
+
+private:
+  void publish(PipelineStats& stats,
+               std::optional<obs::TimelineReport>& timeline);
+
+  std::string name_;
+  obs::Span span_;
+  PipelineModel model_{2};
+  bool tracing_;
+  double trace_since_us_;
 };
 
 } // namespace pimdnn::runtime

@@ -8,8 +8,10 @@
 #include "common/error.hpp"
 #include "common/fixed_point.hpp"
 #include "map/constraints.hpp"
+#include "map/space.hpp"
 #include "nn/gemm.hpp"
 #include "runtime/kernel_session.hpp"
+#include "runtime/pipeline.hpp"
 
 namespace pimdnn::yolo {
 
@@ -257,6 +259,124 @@ map::MappingPlan plan_gemm_mapping(int m, int n, int k, GemmVariant variant,
   return map::Mapper().plan_gemm(req);
 }
 
+namespace {
+
+/// One GEMM offload's operands and resolved mapping, shared by the unsplit
+/// launch and every split sub-launch.
+struct GemmJob {
+  int m, n, k;
+  std::int16_t alpha;
+  std::span<const std::int16_t> a, b;
+  GemmVariant variant;
+  const map::MappingPlan& plan;
+  std::uint64_t weights_version;
+};
+
+/// Opens the session for C rows `rows` on `pool` and stages it: metadata
+/// and B broadcast, A rows scattered (MRAM-resident under `tag` when it is
+/// non-empty). The session's predicted transfer time is its DPU share of
+/// the plan's.
+std::unique_ptr<KernelSession> stage_gemm(runtime::DpuPool& pool,
+                                          const GemmJob& job,
+                                          map::ItemRange rows,
+                                          const std::string& tag) {
+  const int n = job.n;
+  const int k = job.k;
+  const int r = job.plan.rows_per_dpu;
+  const auto per_dpu = static_cast<std::uint32_t>(r);
+  const std::uint32_t n_dpus = KernelSession::dpus_for(rows.count, per_dpu);
+  const std::uint32_t all_dpus =
+      KernelSession::dpus_for(static_cast<std::size_t>(job.m), per_dpu);
+
+  // Program activation: the load is cached by the dimension signature, so
+  // warm frames skip the rebuild (and, for the already-active signature,
+  // the reload). The weights tag is part of the signature: two layers with
+  // identical dimensions but different weights must not share one MRAM
+  // region, or the second layer's scatter would evict the first layer's
+  // resident rows every frame.
+  std::string sig = "gemm/n=" + std::to_string(n) +
+                    "/k=" + std::to_string(k) +
+                    "/v=" + std::to_string(static_cast<int>(job.variant)) +
+                    "/r=" + std::to_string(r);
+  if (!tag.empty()) {
+    sig += "/w=" + tag;
+  }
+  auto session = std::make_unique<KernelSession>(pool, sig, n_dpus, [&] {
+    return make_gemm_program(n, k, job.variant, r);
+  });
+  // The resolved mapping tags the obs offload summary (not the program
+  // cache key above — identical programs still share one load).
+  session->annotate(job.plan.obs_suffix());
+  session->set_predicted(
+      job.plan.predicted.kernel_cycles,
+      (job.plan.predicted.to_dpu_seconds +
+       job.plan.predicted.from_dpu_seconds) *
+          (static_cast<double>(n_dpus) / all_dpus));
+
+  // Broadcast the kernel metadata every call — alpha is not part of the
+  // program signature, so two layers sharing (n, k) may disagree on it.
+  const Meta meta{static_cast<std::uint64_t>(n),
+                  static_cast<std::uint64_t>(k),
+                  static_cast<std::int64_t>(job.alpha),
+                  static_cast<std::uint64_t>(job.variant),
+                  static_cast<std::uint64_t>(r)};
+  session->broadcast("meta", &meta, sizeof(meta));
+
+  // Broadcast B (the whole input matrix goes to every DPU, Figure 4.6).
+  session->broadcast("b_mat", job.b.data(), static_cast<MemSize>(k) * n * 2);
+
+  // Scatter: DPU d gets rows [first + d*R, first + d*R + R) of A; rows past
+  // M stay zero (the padded rows compute to zeros and are discarded on
+  // gather). A resident scatter is skipped entirely when the tagged
+  // version is still in MRAM from an earlier call (the warm-frame path).
+  const MemSize a_stride = a_stride_bytes(k);
+  const auto fill_a = [&](std::uint32_t d, std::uint8_t* slot) {
+    for (int i = 0; i < r; ++i) {
+      const std::size_t row =
+          rows.first + static_cast<std::size_t>(d) * per_dpu + i;
+      if (row >= static_cast<std::size_t>(job.m)) break;
+      std::memcpy(slot + static_cast<std::size_t>(i) * a_stride,
+                  job.a.data() + row * static_cast<std::size_t>(k),
+                  static_cast<std::size_t>(k) * 2);
+    }
+  };
+  const MemSize stage_a_bytes = static_cast<MemSize>(r) * a_stride;
+  if (tag.empty()) {
+    session->scatter("a_rows", stage_a_bytes, fill_a);
+  } else {
+    session->scatter_resident(tag, job.weights_version, "a_rows",
+                              stage_a_bytes, fill_a);
+  }
+  return session;
+}
+
+/// Fills C rows `rows` of `c` after the session's launch: one batched
+/// gather of every DPU's C block (the session drops each row's alignment
+/// padding and the padded tail rows), or — when the launch degraded — the
+/// fixed-point reference, which matches the DPU kernel bit for bit (the
+/// same Algorithm 2 math).
+void collect_gemm(KernelSession& session, bool launched, const GemmJob& job,
+                  map::ItemRange rows, std::span<std::int16_t> c) {
+  const auto n = static_cast<std::size_t>(job.n);
+  std::int16_t* c_rows = c.data() + rows.first * n;
+  if (!launched) {
+    nn::gemm_q16_reference(static_cast<int>(rows.count), job.n, job.k,
+                           job.alpha,
+                           job.a.subspan(rows.first *
+                                         static_cast<std::size_t>(job.k)),
+                           job.b, std::span(c_rows, rows.count * n));
+    return;
+  }
+  session.gather_items("c_rows", rows.count,
+                       static_cast<std::uint32_t>(job.plan.rows_per_dpu),
+                       c_stride_bytes(job.n),
+                       [&](std::size_t i, const std::uint8_t* slot) {
+                         std::memcpy(c_rows + i * n, slot, n * 2);
+                       });
+}
+
+} // namespace
+
 GemmResult dpu_gemm_pooled(runtime::DpuPool& pool, int m, int n, int k,
                            std::int16_t alpha,
                            std::span<const std::int16_t> a,
@@ -274,95 +394,20 @@ GemmResult dpu_gemm_pooled(runtime::DpuPool& pool, int m, int n, int k,
   const map::MappingPlan plan =
       plan_gemm_mapping(m, n, k, variant, opt, n_tasklets, rows_per_dpu,
                         limits);
-  n_tasklets = plan.n_tasklets;
-  rows_per_dpu = plan.rows_per_dpu;
   require(a.size() >= static_cast<std::size_t>(m) * k, "A too small");
   require(b.size() >= static_cast<std::size_t>(k) * n, "B too small");
 
-  const auto na = KernelSession::dpus_for(static_cast<std::size_t>(m),
-                                          static_cast<std::uint32_t>(rows_per_dpu));
-
-  // Program activation: the load is cached by the dimension signature, so
-  // warm frames skip the rebuild (and, for the already-active signature,
-  // the reload). The weights tag is part of the signature: two layers with
-  // identical dimensions but different weights must not share one MRAM
-  // region, or the second layer's scatter would evict the first layer's
-  // resident rows every frame.
-  std::string sig = "gemm/n=" + std::to_string(n) +
-                    "/k=" + std::to_string(k) +
-                    "/v=" + std::to_string(static_cast<int>(variant)) +
-                    "/r=" + std::to_string(rows_per_dpu);
-  if (!weights_tag.empty()) {
-    sig += "/w=" + weights_tag;
-  }
-  KernelSession session(pool, sig, na, [&] {
-    return make_gemm_program(n, k, variant, rows_per_dpu);
-  });
-  // The resolved mapping tags the obs offload summary (not the program
-  // cache key above — identical programs still share one load).
-  session.annotate(plan.obs_suffix());
-  session.set_predicted(plan.predicted.kernel_cycles,
-                        plan.predicted.to_dpu_seconds +
-                            plan.predicted.from_dpu_seconds);
-
-  // Broadcast the kernel metadata every call — alpha is not part of the
-  // program signature, so two layers sharing (n, k) may disagree on it.
-  const Meta meta{static_cast<std::uint64_t>(n),
-                  static_cast<std::uint64_t>(k),
-                  static_cast<std::int64_t>(alpha),
-                  static_cast<std::uint64_t>(variant),
-                  static_cast<std::uint64_t>(rows_per_dpu)};
-  session.broadcast("meta", &meta, sizeof(meta));
-
-  // Broadcast B (the whole input matrix goes to every DPU, Figure 4.6).
-  session.broadcast("b_mat", b.data(), static_cast<MemSize>(k) * n * 2);
-
-  // Scatter: rows [d*R, d*R + R) of A to DPU d; out-of-range rows stay
-  // zero (the padded rows compute to zeros and are discarded on gather).
-  // Skipped entirely when the caller tagged A and the tagged version is
-  // still MRAM-resident from an earlier call (the warm-frame path).
-  const MemSize a_stride = a_stride_bytes(k);
-  const MemSize stage_a_bytes = static_cast<MemSize>(rows_per_dpu) * a_stride;
-  const auto fill_a = [&](std::uint32_t d, std::uint8_t* slot) {
-    for (int r = 0; r < rows_per_dpu; ++r) {
-      const int row = static_cast<int>(d) * rows_per_dpu + r;
-      if (row >= m) break;
-      std::memcpy(slot + static_cast<std::size_t>(r) * a_stride,
-                  a.data() + static_cast<std::size_t>(row) * k,
-                  static_cast<std::size_t>(k) * 2);
-    }
-  };
-  if (weights_tag.empty()) {
-    session.scatter("a_rows", stage_a_bytes, fill_a);
-  } else {
-    session.scatter_resident(weights_tag, weights_version, "a_rows",
-                             stage_a_bytes, fill_a);
-  }
-
+  const GemmJob job{m, n, k, alpha, a, b, variant, plan, weights_version};
+  const map::ItemRange all{0, static_cast<std::size_t>(m)};
+  const std::unique_ptr<KernelSession> session =
+      stage_gemm(pool, job, all, weights_tag);
   GemmResult out;
-  out.dpus_used = na;
+  out.dpus_used = KernelSession::dpus_for(
+      all.count, static_cast<std::uint32_t>(plan.rows_per_dpu));
   out.c.resize(static_cast<std::size_t>(m) * n);
-
-  // A degraded session routes the GEMM through the fixed-point reference,
-  // which matches the DPU kernel bit for bit (the same Algorithm 2 math).
-  if (!session.launch(n_tasklets, opt)) {
-    nn::gemm_q16_reference(m, n, k, alpha, a, b, out.c);
-    out.stats = session.finish();
-    return out;
-  }
-
-  // Gather: one batched transfer pulls every DPU's full C block; the
-  // session unpacks the M real rows (dropping each row's alignment padding
-  // and the padded tail rows of the last DPU).
-  session.gather_items(
-      "c_rows", static_cast<std::size_t>(m),
-      static_cast<std::uint32_t>(rows_per_dpu), c_stride_bytes(n),
-      [&](std::size_t i, const std::uint8_t* slot) {
-        std::memcpy(out.c.data() + i * n, slot,
-                    static_cast<std::size_t>(n) * 2);
-      });
-
-  out.stats = session.finish();
+  collect_gemm(*session, session->launch(plan.n_tasklets, opt), job, all,
+               out.c);
+  out.stats = session->finish();
   return out;
 }
 
@@ -381,133 +426,58 @@ GemmResult dpu_gemm_split(runtime::DpuPool& pool_even,
                            plan.n_tasklets, opt, plan.rows_per_dpu,
                            weights_tag, weights_version);
   }
-  const std::uint32_t n_tasklets = plan.n_tasklets;
-  const int rows_per_dpu = plan.rows_per_dpu;
   require(a.size() >= static_cast<std::size_t>(m) * k, "A too small");
   require(b.size() >= static_cast<std::size_t>(k) * n, "B too small");
 
-  const auto na = KernelSession::dpus_for(
-      static_cast<std::size_t>(m), static_cast<std::uint32_t>(rows_per_dpu));
-  const std::vector<map::SplitRange> ranges =
-      map::split_ranges(na, plan.split);
-
+  const GemmJob job{m, n, k, alpha, a, b, variant, plan, weights_version};
+  const auto rows_per_dpu = static_cast<std::uint32_t>(plan.rows_per_dpu);
+  const std::vector<map::ItemRange> chunks = map::split_items(
+      static_cast<std::size_t>(m), rows_per_dpu, plan.split);
   GemmResult out;
-  out.dpus_used = na;
-  out.split = static_cast<std::uint32_t>(ranges.size());
+  out.dpus_used =
+      KernelSession::dpus_for(static_cast<std::size_t>(m), rows_per_dpu);
+  out.split = static_cast<std::uint32_t>(chunks.size());
   out.c.resize(static_cast<std::size_t>(m) * n);
 
-  const Meta meta{static_cast<std::uint64_t>(n),
-                  static_cast<std::uint64_t>(k),
-                  static_cast<std::int64_t>(alpha),
-                  static_cast<std::uint64_t>(variant),
-                  static_cast<std::uint64_t>(rows_per_dpu)};
-  const MemSize a_stride = a_stride_bytes(k);
-  const MemSize stage_a_bytes =
-      static_cast<MemSize>(rows_per_dpu) * a_stride;
-
-  // One in-flight sub-launch per bank: the sub-launch after next waits for
-  // this one's gather before its session may reuse the bank's pool.
+  // Sub-launch s on bank s%2; the executor gathers it before sub-launch
+  // s+2's session may reuse the bank's pool.
   struct Pending {
     std::unique_ptr<KernelSession> session;
     KernelSession::LaunchHandle handle;
     std::size_t s = 0;
-    std::size_t row_begin = 0;
-    std::size_t row_count = 0;
+
+    bool wait() { return handle.wait(); }
   };
-  Pending in_flight[2];
-
-  const auto drain = [&](Pending& p) {
-    if (!p.session) return;
-    const bool ok = p.handle.wait();
-    if (!ok) {
-      // Only this sub-launch's rows reroute to the bit-identical host
-      // reference; the other sub-launches' DPU results stand as-is.
-      nn::gemm_q16_reference(
-          static_cast<int>(p.row_count), n, k, alpha,
-          a.subspan(p.row_begin * static_cast<std::size_t>(k)), b,
-          std::span<std::int16_t>(out.c.data() + p.row_begin * n,
-                                  p.row_count * static_cast<std::size_t>(n)));
-    } else {
-      p.session->gather_items(
-          "c_rows", p.row_count, static_cast<std::uint32_t>(rows_per_dpu),
-          c_stride_bytes(n), [&](std::size_t i, const std::uint8_t* slot) {
-            std::memcpy(out.c.data() + (p.row_begin + i) * n, slot,
-                        static_cast<std::size_t>(n) * 2);
-          });
-    }
-    const runtime::LaunchStats st = p.session->finish();
-    if (model != nullptr) {
-      const std::size_t item = model_item_base + p.s;
-      const std::size_t bank = p.s % 2;
-      model->xfer_stage(item, bank,
-                        st.host.to_dpu_seconds + st.host.load_seconds);
-      model->dpu_stage(item, bank, st.wall_seconds);
-      model->xfer_stage(item, bank, st.host.from_dpu_seconds);
-    }
-    out.stats.merge(st);
-    p.session.reset();
-  };
-
-  for (std::size_t s = 0; s < ranges.size(); ++s) {
-    Pending& slot = in_flight[s % 2];
-    drain(slot); // bank free: the previous sub-launch on it has gathered
-
-    const map::SplitRange& r = ranges[s];
-    slot.s = s;
-    slot.row_begin = r.first_unit * static_cast<std::size_t>(rows_per_dpu);
-    slot.row_count =
-        std::min(static_cast<std::size_t>(m) - slot.row_begin,
-                 r.n_units * static_cast<std::size_t>(rows_per_dpu));
-    runtime::DpuPool& pool = (s % 2 == 0) ? pool_even : pool_odd;
-
-    // Same signature scheme as the unsplit executor; the weight tag gains
-    // a sub-launch suffix because each sub-launch scatters a different row
-    // block — two sub-launches sharing a bank must not share one resident
-    // MRAM region.
-    std::string sig = "gemm/n=" + std::to_string(n) +
-                      "/k=" + std::to_string(k) +
-                      "/v=" + std::to_string(static_cast<int>(variant)) +
-                      "/r=" + std::to_string(rows_per_dpu);
-    std::string chunk_tag;
-    if (!weights_tag.empty()) {
-      chunk_tag = weights_tag + "/s" + std::to_string(s);
-      sig += "/w=" + chunk_tag;
-    }
-    slot.session = std::make_unique<KernelSession>(
-        pool, sig, static_cast<std::uint32_t>(r.n_units),
-        [&] { return make_gemm_program(n, k, variant, rows_per_dpu); });
-    slot.session->annotate(plan.obs_suffix());
-    const double xfer_share =
-        na == 0 ? 0.0 : static_cast<double>(r.n_units) / na;
-    slot.session->set_predicted(plan.predicted.kernel_cycles,
-                                (plan.predicted.to_dpu_seconds +
-                                 plan.predicted.from_dpu_seconds) *
-                                    xfer_share);
-
-    slot.session->broadcast("meta", &meta, sizeof(meta));
-    slot.session->broadcast("b_mat", b.data(),
-                            static_cast<MemSize>(k) * n * 2);
-    const std::size_t row_begin = slot.row_begin;
-    const auto fill_a = [&, row_begin](std::uint32_t d, std::uint8_t* dst) {
-      for (int rr = 0; rr < rows_per_dpu; ++rr) {
-        const std::size_t row =
-            row_begin + static_cast<std::size_t>(d) * rows_per_dpu + rr;
-        if (row >= static_cast<std::size_t>(m)) break;
-        std::memcpy(dst + static_cast<std::size_t>(rr) * a_stride,
-                    a.data() + row * static_cast<std::size_t>(k),
-                    static_cast<std::size_t>(k) * 2);
-      }
-    };
-    if (chunk_tag.empty()) {
-      slot.session->scatter("a_rows", stage_a_bytes, fill_a);
-    } else {
-      slot.session->scatter_resident(chunk_tag, weights_version, "a_rows",
-                                     stage_a_bytes, fill_a);
-    }
-    slot.handle = slot.session->launch_async(n_tasklets, opt);
-  }
-  drain(in_flight[ranges.size() % 2]);
-  drain(in_flight[(ranges.size() + 1) % 2]);
+  runtime::run_double_buffered(
+      chunks.size(),
+      [&](std::size_t s, unsigned bank) {
+        // The weight tag gains a sub-launch suffix because each sub-launch
+        // scatters a different row block — two sub-launches sharing a
+        // bank must not share one resident MRAM region.
+        Pending p{stage_gemm(bank == 0 ? pool_even : pool_odd, job,
+                             chunks[s],
+                             weights_tag.empty()
+                                 ? std::string()
+                                 : weights_tag + "/s" + std::to_string(s)),
+                  {}, s};
+        p.handle = p.session->launch_async(plan.n_tasklets, opt);
+        return p;
+      },
+      [&](Pending p) {
+        // A degraded sub-launch reroutes only its own rows to the host
+        // reference; the other sub-launches' DPU results stand as-is.
+        collect_gemm(*p.session, p.handle.wait(), job, chunks[p.s], out.c);
+        const runtime::LaunchStats st = p.session->finish();
+        if (model != nullptr) {
+          const std::size_t item = model_item_base + p.s;
+          const auto bank = static_cast<unsigned>(p.s % 2);
+          model->xfer_stage(item, bank,
+                            st.host.to_dpu_seconds + st.host.load_seconds);
+          model->dpu_stage(item, bank, st.wall_seconds);
+          model->xfer_stage(item, bank, st.host.from_dpu_seconds);
+        }
+        out.stats.merge(st);
+      });
   return out;
 }
 

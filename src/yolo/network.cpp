@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <exception>
 
 #include "common/error.hpp"
 #include "common/fixed_point.hpp"
@@ -11,7 +10,6 @@
 #include "nn/im2col.hpp"
 #include "nn/layers.hpp"
 #include "obs/metrics.hpp"
-#include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "runtime/host_pool.hpp"
 #include "runtime/host_timer.hpp"
@@ -233,6 +231,7 @@ runtime::DpuPool& YoloRunner::bank_pool(
   }
   if (!pools_[bank].has_value()) {
     pools_[bank].emplace(sys_);
+    pools_[bank]->set_obs_bank(bank);
   }
   pools_[bank]->reserve(peak);
   return *pools_[bank];
@@ -288,11 +287,7 @@ YoloPipelineResult YoloRunner::run_pipelined(
   if (frames.empty()) {
     return out;
   }
-
-  obs::Span sp("yolo.pipeline", "pipeline");
-  if (sp.active()) {
-    sp.u64("n_frames", frames.size());
-  }
+  runtime::PipelineRun run("yolo", "n_frames", frames.size());
 
   // Both bank pools are created/sized on this thread before any frame
   // task can touch them (a frame only ever uses its own bank's pool).
@@ -307,80 +302,27 @@ YoloPipelineResult YoloRunner::run_pipelined(
       std::any_of(plans.begin(), plans.end(),
                   [](const map::MappingPlan& p) { return p.split > 1; });
   runtime::DpuPool* banks[2] = {&bank_pool(0, plans), &bank_pool(1, plans)};
-  banks[0]->set_obs_bank(0);
-  banks[1]->set_obs_bank(1);
-  runtime::PipelineModel model(2);
-  const bool tracing = obs::Tracer::enabled();
-  const double trace_since_us =
-      tracing ? obs::Tracer::instance().now_us() : 0.0;
+  const std::vector<map::MappingPlan>* split_plans =
+      any_split ? &plans : nullptr;
+  runtime::DpuPool* split_pool = any_split ? banks[1] : nullptr;
+  runtime::PipelineModel& model = run.model();
 
-  // Double-buffered dispatch: frame i runs on bank i%2, and a bank's next
-  // frame is submitted only after its previous frame completed — so at
-  // most two frames are in flight and each bank's frames serialize (the
-  // happens-before chain that keeps warm-pool state and results
-  // bit-identical to the serial path).
-  runtime::HostPool::TaskHandle pending[2];
-  std::exception_ptr err;
-  for (std::size_t i = 0; i < frames.size() && err == nullptr; ++i) {
-    const unsigned bank = static_cast<unsigned>(i % 2);
-    if (pending[bank].valid()) {
-      try {
-        pending[bank].wait();
-      } catch (...) {
-        err = std::current_exception();
-        break;
-      }
-    }
-    const std::vector<std::int16_t>* src = &frames[i];
-    YoloRunResult* dst = &out.frames[i];
-    const std::vector<map::MappingPlan>* split_plans =
-        any_split ? &plans : nullptr;
-    runtime::DpuPool* split_pool = any_split ? banks[1] : nullptr;
-    pending[bank] = runtime::HostPool::global().submit(
-        [this, src, dst, &opts, banks, &model, bank, i, split_plans,
-         split_pool] {
-          *dst = run_frame(*src, opts, banks[bank], bank_scratch_[bank],
-                           &model, bank, i, split_plans, split_pool);
+  // Each frame is one HostPool task on its bank; the executor's bank
+  // serialization is the happens-before chain that keeps warm-pool state
+  // and results bit-identical to the serial path.
+  runtime::run_double_buffered(
+      frames.size(),
+      [&](std::size_t i, unsigned bank) {
+        return runtime::HostPool::global().submit([&, i, bank] {
+          out.frames[i] =
+              run_frame(frames[i], opts, banks[bank], bank_scratch_[bank],
+                        &model, bank, i, split_plans, split_pool);
         });
-  }
-  // Always drain both banks before unwinding: in-flight tasks reference
-  // this stack frame.
-  for (auto& p : pending) {
-    if (!p.valid()) continue;
-    try {
-      p.wait();
-    } catch (...) {
-      if (err == nullptr) {
-        err = std::current_exception();
-      }
-    }
-  }
-  if (err != nullptr) {
-    std::rethrow_exception(err);
-  }
+      },
+      [](runtime::HostPool::TaskHandle frame) { frame.wait(); });
 
-  out.pipeline = model.stats();
-  if (sp.active()) {
-    sp.f64("makespan_ms", out.pipeline.makespan_seconds * 1e3);
-    sp.f64("serial_ms", out.pipeline.serial_seconds * 1e3);
-    sp.f64("speedup", out.pipeline.speedup());
-  }
-  if (tracing) {
-    const obs::Timeline tl = obs::Timeline::from_events(
-        obs::Tracer::instance().snapshot(), trace_since_us);
-    if (tl.stages() > 0) {
-      out.timeline = tl.report();
-      obs::record_drift("yolo", *out.timeline,
-                        out.pipeline.makespan_seconds,
-                        out.pipeline.overlap_efficiency());
-    }
-  }
-  if (obs::SloTracker::enabled()) {
-    for (const YoloRunResult& f : out.frames) {
-      obs::SloTracker::instance().record("yolo.frame",
-                                         f.frame_wall_seconds() * 1e3);
-    }
-  }
+  run.close(out.pipeline, out.timeline, out.frames, "yolo.frame",
+            [](const YoloRunResult& f) { return f.frame_wall_seconds(); });
   return out;
 }
 

@@ -216,8 +216,9 @@ private:
   std::vector<map::MappingPlan> resolve_layer_plans(
       const RunOptions& opts, std::uint32_t max_split = 1) const;
 
-  /// Ensures bank `bank`'s pool exists and covers the widest layer of this
-  /// config (so no mid-frame growth resets its program/residency cache).
+  /// Ensures bank `bank`'s pool exists (labelled `bank` in obs spans) and
+  /// covers the widest layer of this config (so no mid-frame growth resets
+  /// its program/residency cache).
   /// A split layer only ever holds ceil(n_dpus / split) DPUs per bank at
   /// once, so that is what it contributes to the peak.
   runtime::DpuPool& bank_pool(unsigned bank,
