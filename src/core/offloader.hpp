@@ -18,24 +18,22 @@
 //
 // The kernel author supplies only the per-item computation, written
 // against TaskletCtx like any other DPU kernel. The host choreography
-// itself (program caching, padded scatter, true-count metadata, batched
-// gather, host-overhead accounting) is one runtime::KernelSession over the
-// offloader's persistent pool, shared with the eBNN and YOLOv3 pipelines.
+// itself (mapping, program caching, padded scatter, true-count metadata,
+// batched gather, the degraded path, double buffering) is core::BatchHost,
+// shared with the eBNN hosts.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/batch_host.hpp"
 #include "map/mapper.hpp"
-#include "obs/timeline.hpp"
-#include "runtime/dpu_pool.hpp"
 #include "runtime/dpu_set.hpp"
 #include "runtime/kernel_session.hpp"
-#include "runtime/pipeline.hpp"
 
 namespace pimdnn::core {
 
@@ -90,14 +88,34 @@ struct OffloadResult {
 };
 
 /// Result of a double-buffered multi-batch run.
-struct OffloadPipelineResult {
-  /// Per-batch results, bit-identical to serial `run` calls.
-  std::vector<OffloadResult> batches;
-  /// Modeled overlapped timeline vs. the serial equivalent.
-  runtime::PipelineStats pipeline;
-  /// Independent reconstruction from the emitted `pipe.stage` spans;
-  /// present only when tracing was enabled for the run.
-  std::optional<obs::TimelineReport> timeline;
+using OffloadPipelineResult = BatchPipelineResult<OffloadResult>;
+
+/// A WorkloadSpec and its per-item kernel as core::BatchHost drives them:
+/// one generic item-loop program, the constants, and a spare private DPU
+/// as the degraded path.
+struct OffloadBatchKernel {
+  using Result = OffloadResult;
+
+  /// Validates the workload and test-loads its program on a throwaway DPU.
+  OffloadBatchKernel(WorkloadSpec workload, ItemKernel kernel,
+                     const runtime::UpmemConfig& sys);
+
+  sim::DpuProgram build_program() const;
+  /// The broadcast constants, skipped while they are still in WRAM.
+  void upload(runtime::KernelSession& session) const;
+  /// Runs the same kernel on one spare private DPU, chunk by chunk —
+  /// bit-identical to the pooled run.
+  void fallback(const Items& items, const BatchChunk& chunk,
+                Result& out) const;
+  /// Copies each item's gathered output bytes out.
+  void tail(std::span<const std::uint32_t> words, const BatchChunk& chunk,
+            Result& out) const;
+  static void append(Result& whole, Result&& chunk);
+
+  WorkloadSpec workload;
+  ItemKernel kernel;
+  runtime::UpmemConfig sys;
+  BatchSpec spec;
 };
 
 /// The offload engine. Construct once per (spec, kernel) pair, run many
@@ -110,16 +128,19 @@ public:
   /// Validates the spec (capacities, transfer limits) and builds the DPU
   /// program. Throws ConfigError/CapacityError on impossible mappings.
   Offloader(WorkloadSpec spec, ItemKernel kernel,
-            const runtime::UpmemConfig& sys = sim::default_config());
+            const runtime::UpmemConfig& sys = sim::default_config())
+      : host_(sys, std::move(spec), std::move(kernel), sys) {}
 
   /// Processes a batch of items (each exactly item_in_bytes long).
   /// `n_tasklets` defaults to the `map::Mapper` sentinel: items-per-DPU
   /// and tasklets come from the cost-model search when the spec has a
   /// kernel_cost hook (the paper mapping otherwise); an explicit count
   /// pins the spec's items_per_dpu with that many tasklets.
-  OffloadResult run(const std::vector<std::vector<std::uint8_t>>& items,
+  OffloadResult run(const Items& items,
                     std::uint32_t n_tasklets = map::kAutoTasklets,
-                    runtime::OptLevel opt = runtime::OptLevel::O3);
+                    runtime::OptLevel opt = runtime::OptLevel::O3) {
+    return host_.run(items, n_tasklets, opt);
+  }
 
   /// Processes `batches` double-buffered over two bank pools: batch i runs
   /// on bank i%2 and its scatter overlaps the other bank's in-flight
@@ -128,59 +149,23 @@ public:
   /// inputs. The returned PipelineStats hold the modeled overlapped
   /// makespan vs. the serial equivalent.
   OffloadPipelineResult run_pipelined(
-      const std::vector<std::vector<std::vector<std::uint8_t>>>& batches,
+      const std::vector<Items>& batches,
       std::uint32_t n_tasklets = map::kAutoTasklets,
-      runtime::OptLevel opt = runtime::OptLevel::O3);
-
-  /// MRAM stride of one input slot (8-byte aligned item_in_bytes).
-  MemSize in_stride() const { return in_stride_; }
-
-  /// MRAM stride of one output slot.
-  MemSize out_stride() const { return out_stride_; }
-
-  /// Cumulative host-side accounting across every batch run so far.
-  sim::HostXferStats host_stats() const {
-    return banks_.host_stats();
+      runtime::OptLevel opt = runtime::OptLevel::O3) {
+    return host_.run_pipelined(batches, n_tasklets, opt);
   }
 
-private:
-  sim::DpuProgram build_program() const;
-  /// CPU-path fallback for a degraded session: runs the same kernel on one
-  /// spare private DPU, chunk by chunk, over items [first, first + count)
-  /// — bit-identical to the pooled run. Writes outputs [0, count) of
-  /// `out.outputs` (pre-sized by the caller).
-  void run_host_fallback(const std::vector<std::vector<std::uint8_t>>& items,
-                         std::size_t first, std::size_t count,
-                         std::uint32_t per_dpu, std::uint32_t n_tasklets,
-                         runtime::OptLevel opt, OffloadResult& out) const;
-  /// Resolves the (items_per_dpu, tasklets, split) mapping for a batch of
-  /// `n_items` against `pool`'s health picture. `max_split > 1` only for
-  /// a lone batch, whose split plan can use both banks.
-  map::MappingPlan resolve_batch_plan(runtime::DpuPool& pool,
-                                      std::size_t n_items,
-                                      std::uint32_t n_tasklets,
-                                      std::uint32_t max_split);
-  runtime::PendingBatch start_batch(
-      runtime::DpuPool& pool,
-      const std::vector<std::vector<std::uint8_t>>& items, std::size_t first,
-      std::size_t count, const map::MappingPlan& plan, runtime::OptLevel opt,
-      runtime::PipelineModel* model, unsigned bank, std::size_t item);
-  OffloadResult finish_batch(runtime::PendingBatch pending,
-                             runtime::PipelineModel* model);
-  /// The one double-buffered loop behind run() and run_pipelined():
-  /// validates every item once, then runs map::run_batches over the two
-  /// banks (see EbnnHost::execute).
-  std::vector<OffloadResult> execute(
-      std::span<const std::vector<std::vector<std::uint8_t>>> batches,
-      std::uint32_t n_tasklets, runtime::OptLevel opt,
-      runtime::PipelineModel* model);
+  /// MRAM stride of one input slot (8-byte aligned item_in_bytes).
+  MemSize in_stride() const { return host_.kernel().spec.in_stride; }
 
-  WorkloadSpec spec_;
-  ItemKernel kernel_;
-  runtime::UpmemConfig sys_;
-  MemSize in_stride_;
-  MemSize out_stride_;
-  runtime::DpuBanks banks_;
+  /// MRAM stride of one output slot.
+  MemSize out_stride() const { return host_.kernel().spec.out_stride; }
+
+  /// Cumulative host-side accounting across every batch run so far.
+  sim::HostXferStats host_stats() const { return host_.host_stats(); }
+
+private:
+  BatchHost<OffloadBatchKernel> host_;
 };
 
 } // namespace pimdnn::core

@@ -2,20 +2,13 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <utility>
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
-#include "map/mapper.hpp"
-#include "map/space.hpp"
 #include "nn/bitpack.hpp"
 #include "nn/layers.hpp"
-#include "obs/trace.hpp"
-#include "runtime/host_timer.hpp"
-#include "runtime/kernel_session.hpp"
 #include "sim/cost_model.hpp"
-#include "sim/report.hpp"
 
 namespace pimdnn::ebnn {
 
@@ -641,271 +634,75 @@ Cycles estimate_deep_ebnn_wall_cycles(const DeepEbnnConfig& cfg,
   return std::max({static_cast<Cycles>(sum_slots), sum_dma, latency});
 }
 
-DeepEbnnHost::DeepEbnnHost(const DeepEbnnConfig& cfg,
-                           DeepEbnnWeights weights,
-                           const runtime::UpmemConfig& sys)
-    : cfg_(cfg),
-      weights_(std::move(weights)),
-      sys_(sys),
-      dims_(deep_dims(cfg)),
-      tail_(weights_.fc, cfg_.classes,
-            static_cast<std::size_t>(deep_feature_bits(cfg_))),
-      banks_(sys) {
-  for (std::size_t b = 0; b < cfg_.blocks.size(); ++b) {
-    luts_.push_back(build_bn_binact_lut_range(-dims_[b].taps, dims_[b].taps,
-                                              weights_.bn[b]));
+DeepEbnnBatchKernel::DeepEbnnBatchKernel(const DeepEbnnConfig& cfg_in,
+                                         DeepEbnnWeights weights_in,
+                                         const runtime::UpmemConfig& sys)
+    : cfg(cfg_in),
+      weights(std::move(weights_in)),
+      reference(cfg, weights),
+      fc_tail(weights.fc, cfg.classes,
+              static_cast<std::size_t>(deep_feature_bits(cfg))) {
+  const std::vector<DeepBlockDims> dims = deep_dims(cfg);
+  for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
+    conv_words.insert(conv_words.end(), weights.conv[b].begin(),
+                      weights.conv[b].end());
+    const BnBinactLut lut = build_bn_binact_lut_range(
+        -dims[b].taps, dims[b].taps, weights.bn[b]);
+    lut_bytes.insert(lut_bytes.end(), lut.table.begin(), lut.table.end());
   }
-  images_per_dpu_ = make_params(cfg_, dims_, sys_).capacity;
-}
+  const DeepKernelParams params = make_params(cfg, dims, sys);
+  program = make_deep_program(params, conv_words.size(), lut_bytes.size());
 
-map::MappingPlan DeepEbnnHost::resolve_batch_plan(
-    runtime::DpuPool& pool, std::size_t n_images, std::uint32_t n_tasklets,
-    runtime::OptLevel opt, std::uint32_t max_split) {
-  require(n_images > 0, "DeepEbnnHost::run: empty batch");
-  const DeepKernelParams params = make_params(cfg_, dims_, sys_);
-  if (n_tasklets != 0) {
-    require(n_tasklets >= 1 && n_tasklets <= params.capacity,
-            "DeepEbnnHost::run: tasklets must be in [1, images_per_dpu]");
-  }
-  std::size_t conv_size = 0;
-  std::size_t lut_size = 0;
-  for (std::size_t b = 0; b < cfg_.blocks.size(); ++b) {
-    conv_size += weights_.conv[b].size();
-    lut_size += luts_[b].table.size();
-  }
-
-  // Resolve the (images_per_dpu, tasklets, split) mapping through
-  // map::Mapper. `n_tasklets == 0` (the historical "fill the capacity"
-  // default) is the auto sentinel; an explicit count pins the
-  // capacity-filling mapping.
-  map::BatchRequest mreq;
-  mreq.n_items = n_images;
-  mreq.capacity = params.capacity;
-  mreq.kernel_cycles = [this, opt](std::uint32_t items, std::uint32_t t) {
-    return estimate_deep_ebnn_wall_cycles(cfg_, items, t, opt);
+  spec.name = "deep_ebnn";
+  spec.program = "ebnn_deep";
+  spec.capacity = params.capacity;
+  spec.kernel_cycles = [this](std::uint32_t items, std::uint32_t t,
+                              runtime::OptLevel opt) {
+    return estimate_deep_ebnn_wall_cycles(cfg, items, t, opt);
   };
-  mreq.item_in_bytes = params.image_stride;
-  mreq.item_out_bytes = params.result_stride;
-  mreq.const_bytes_per_dpu =
-      conv_size * sizeof(std::uint32_t) + lut_size;
-  mreq.pinned_tasklets = n_tasklets == 0 ? map::kAutoTasklets : n_tasklets;
-  mreq.max_split = max_split;
-  // Plan against the pool's health picture: quarantines shrink the usable
-  // capacity, reintegrations restore it (clean pools plan the full system).
-  if (pool.plan_capacity() < pool.config().total_dpus) {
-    mreq.limits.max_dpus = pool.plan_capacity();
-  }
-  return map::Mapper().plan_batch(mreq);
+  spec.in_stride = params.image_stride;
+  spec.in_bytes = static_cast<MemSize>(cfg.img_h) * cfg.img_w;
+  spec.out_stride = params.result_stride;
+  spec.out_bytes = params.result_stride;
+  spec.const_bytes =
+      conv_words.size() * sizeof(std::uint32_t) + lut_bytes.size();
+  spec.in_symbol = "images";
+  spec.meta_symbol = "meta";
+  spec.out_symbol = "results";
 }
 
-runtime::PendingBatch DeepEbnnHost::start_batch(
-    runtime::DpuPool& pool, const std::vector<Image>& images,
-    std::size_t first, std::size_t count, const map::MappingPlan& plan,
-    runtime::OptLevel opt, runtime::PipelineModel* model, unsigned bank,
-    std::size_t item) {
-  require(count > 0 && first + count <= images.size(),
-          "DeepEbnnHost::run: bad batch sub-range");
-  const std::size_t img_bytes =
-      static_cast<std::size_t>(cfg_.img_h) * cfg_.img_w;
-  const DeepKernelParams params = make_params(cfg_, dims_, sys_);
-
-  // Symbol sizes are needed to build the program even when the flattened
-  // payloads are not (the warm-batch path skips the uploads).
-  std::size_t conv_size = 0;
-  std::size_t lut_size = 0;
-  for (std::size_t b = 0; b < cfg_.blocks.size(); ++b) {
-    conv_size += weights_.conv[b].size();
-    lut_size += luts_[b].table.size();
-  }
-
-  const std::uint32_t n_tasklets = plan.n_tasklets;
-  const std::uint32_t per_dpu = plan.items_per_dpu;
-  const auto n_dpus = KernelSession::dpus_for(count, per_dpu);
-
-  const sim::HostXferStats before = pool.host_stats();
-  runtime::PendingBatch pb;
-  pb.pool = &pool;
-  pb.items = &images;
-  pb.n_dpus = n_dpus;
-  pb.per_dpu = per_dpu;
-  pb.bank = bank;
-  pb.item = item;
-  pb.first = first;
-  pb.count = count;
-  pb.session = std::make_unique<KernelSession>(
-      pool, "ebnn_deep", n_dpus,
-      [&] { return make_deep_program(params, conv_size, lut_size); });
-  KernelSession& session = *pb.session;
-  session.annotate(plan.obs_suffix());
-  // A split sub-launch is predicted to carry its share of the plan's
-  // transfer volume.
-  session.set_predicted(plan.predicted.kernel_cycles,
-                        (plan.predicted.to_dpu_seconds +
-                         plan.predicted.from_dpu_seconds) *
-                            (static_cast<double>(count) /
-                             static_cast<double>(images.size())));
-
-  // Per-block weights and LUTs are WRAM constants: re-broadcast only when
-  // the activation rebuilt or reloaded the program.
+void DeepEbnnBatchKernel::upload(KernelSession& session) const {
   if (session.activation() != DpuPool::Activation::Active) {
-    std::vector<std::uint32_t> conv_words;
-    std::vector<std::uint8_t> lut_bytes;
-    conv_words.reserve(conv_size);
-    lut_bytes.reserve(lut_size);
-    for (std::size_t b = 0; b < cfg_.blocks.size(); ++b) {
-      conv_words.insert(conv_words.end(), weights_.conv[b].begin(),
-                        weights_.conv[b].end());
-      lut_bytes.insert(lut_bytes.end(), luts_[b].table.begin(),
-                       luts_[b].table.end());
-    }
-    session.broadcast("conv_w", conv_words.data(), conv_words.size() * 4);
+    session.broadcast("conv_w", conv_words.data(),
+                      conv_words.size() * sizeof(std::uint32_t));
     session.broadcast("luts", lut_bytes.data(), lut_bytes.size());
   }
-
-  session.scatter_items("images", "meta", count, per_dpu,
-                        params.image_stride, img_bytes, [&](std::size_t i) {
-                          return images[first + i].data();
-                        });
-
-  if (model != nullptr) {
-    const sim::HostXferStats d =
-        sim::host_xfer_delta(pool.host_stats(), before);
-    model->xfer_stage(item, bank, d.to_dpu_seconds + d.load_seconds);
-  }
-  pb.handle = session.launch_async(n_tasklets, opt);
-  return pb;
 }
 
-DeepEbnnBatchResult DeepEbnnHost::finish_batch(
-    runtime::PendingBatch pending, runtime::PipelineModel* model) {
-  KernelSession& session = *pending.session;
-  const std::vector<Image>& images = *pending.items;
-  const DeepKernelParams params = make_params(cfg_, dims_, sys_);
-  const std::uint32_t per_dpu = pending.per_dpu;
-  const std::size_t feat_words =
-      params.result_stride / sizeof(std::uint32_t);
-  const std::size_t feat_bits = tail_.features();
-
-  DeepEbnnBatchResult out;
-  out.dpus_used = pending.n_dpus;
-  out.images_per_dpu = per_dpu;
-
-  runtime::HostTimer ht;
-  // A degraded session routes the batch through the reference model,
-  // which is bit-identical to the DPU kernel.
-  if (!pending.handle.wait()) {
-    ht.start();
-    DeepEbnnReference ref(cfg_, weights_);
-    for (std::size_t i = 0; i < pending.count; ++i) {
-      DeepEbnnActivations a = ref.infer(images[pending.first + i].data());
-      out.predicted.push_back(a.predicted);
-      out.features.push_back(std::move(a.feature));
-    }
-    out.host_tail_seconds = ht.elapsed();
-    out.launch = session.finish();
-    if (model != nullptr) {
-      model->host_stage(pending.item, out.host_tail_seconds);
-    }
-    return out;
+void DeepEbnnBatchKernel::fallback(const core::Items& images,
+                                   const core::BatchChunk& chunk,
+                                   Result& out) const {
+  out.images_per_dpu = chunk.items_per_dpu;
+  for (std::size_t i = 0; i < chunk.count; ++i) {
+    DeepEbnnActivations a = reference.infer(images[chunk.first + i].data());
+    out.predicted.push_back(a.predicted);
+    out.features.push_back(std::move(a.feature));
   }
+}
 
-  // Batched gather of the raw feature words, then the host tail per image.
-  const sim::HostXferStats before = pending.pool->host_stats();
-  std::vector<std::uint32_t> words(pending.count * feat_words);
-  session.gather_items(
-      "results", pending.count, per_dpu, params.result_stride,
-      [&](std::size_t i, const std::uint8_t* slot) {
-        std::memcpy(words.data() + i * feat_words, slot,
-                    feat_words * sizeof(std::uint32_t));
-      });
-  const sim::HostXferStats gathered =
-      sim::host_xfer_delta(pending.pool->host_stats(), before);
-
-  ht.start();
-  std::vector<float> logits(static_cast<std::size_t>(cfg_.classes));
+void DeepEbnnBatchKernel::tail(std::span<const std::uint32_t> words,
+                               const core::BatchChunk& chunk,
+                               Result& out) const {
+  const std::size_t feat_words = spec.out_words();
+  out.images_per_dpu = chunk.items_per_dpu;
+  std::vector<float> logits(static_cast<std::size_t>(cfg.classes));
   std::vector<float> probs(logits.size());
-  for (std::size_t i = 0; i < pending.count; ++i) {
-    const std::uint32_t* w = words.data() + i * feat_words;
-    std::vector<int> feature(feat_bits);
-    nn::unpack_bits(std::span(w, feat_words), feature);
-    out.predicted.push_back(tail_.infer(feature, logits, probs));
+  for (std::size_t i = 0; i < chunk.count; ++i) {
+    std::vector<int> feature(fc_tail.features());
+    nn::unpack_bits(words.subspan(i * feat_words, feat_words), feature);
+    out.predicted.push_back(fc_tail.infer(feature, logits, probs));
     out.features.push_back(std::move(feature));
   }
-  out.host_tail_seconds = ht.elapsed();
-  out.launch = session.finish();
-
-  if (model != nullptr) {
-    model->dpu_stage(pending.item, pending.bank, out.launch.wall_seconds);
-    model->xfer_stage(pending.item, pending.bank,
-                      gathered.from_dpu_seconds);
-    model->host_stage(pending.item, out.host_tail_seconds);
-  }
-  return out;
-}
-
-std::vector<DeepEbnnBatchResult> DeepEbnnHost::execute(
-    std::span<const std::vector<Image>> batches, std::uint32_t n_tasklets,
-    runtime::OptLevel opt, runtime::PipelineModel* model) {
-  const std::size_t img_bytes =
-      static_cast<std::size_t>(cfg_.img_h) * cfg_.img_w;
-  for (const std::vector<Image>& batch : batches) {
-    for (const Image& im : batch) {
-      require(im.size() == img_bytes, "DeepEbnnHost::run: wrong image size");
-    }
-  }
-  return map::run_batches(
-      batches,
-      [&](unsigned bank, std::size_t n_images, std::uint32_t max_split) {
-        return resolve_batch_plan(banks_[bank], n_images, n_tasklets, opt,
-                                  max_split);
-      },
-      [&](const std::vector<Image>& batch, std::size_t first,
-          std::size_t count, const map::MappingPlan& plan, unsigned bank,
-          std::size_t w) {
-        return start_batch(banks_[bank], batch, first, count, plan, opt,
-                           model, bank, w);
-      },
-      [&](runtime::PendingBatch p) {
-        return finish_batch(std::move(p), model);
-      },
-      [](DeepEbnnBatchResult& whole, DeepEbnnBatchResult&& chunk) {
-        whole.predicted.insert(whole.predicted.end(), chunk.predicted.begin(),
-                               chunk.predicted.end());
-        for (auto& f : chunk.features) {
-          whole.features.push_back(std::move(f));
-        }
-        whole.launch.merge(chunk.launch);
-        whole.dpus_used += chunk.dpus_used;
-        whole.host_tail_seconds += chunk.host_tail_seconds;
-      });
-}
-
-DeepEbnnBatchResult DeepEbnnHost::run(const std::vector<Image>& images,
-                                      std::uint32_t n_tasklets,
-                                      runtime::OptLevel opt) {
-  obs::Span batch_sp("deep_ebnn.batch", "pipeline");
-  if (batch_sp.active()) {
-    batch_sp.u64("n_images", images.size());
-  }
-  return std::move(
-      execute(std::span(&images, 1), n_tasklets, opt, nullptr).front());
-}
-
-DeepEbnnPipelineResult DeepEbnnHost::run_pipelined(
-    const std::vector<std::vector<Image>>& batches,
-    std::uint32_t n_tasklets, runtime::OptLevel opt) {
-  DeepEbnnPipelineResult out;
-  if (batches.empty()) {
-    return out;
-  }
-  runtime::PipelineRun run("deep_ebnn", "n_batches", batches.size());
-  out.batches = execute(batches, n_tasklets, opt, &run.model());
-  run.close(out.pipeline, out.timeline, out.batches, "deep_ebnn.batch",
-            [](const DeepEbnnBatchResult& b) {
-              return b.launch.host.host_seconds() + b.launch.wall_seconds +
-                     b.host_tail_seconds;
-            });
-  return out;
 }
 
 } // namespace pimdnn::ebnn

@@ -16,17 +16,16 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "ebnn/fc_tail.hpp"
 #include "ebnn/host.hpp"
 #include "ebnn/lut.hpp"
 #include "ebnn/model.hpp"
-#include "runtime/dpu_pool.hpp"
 #include "runtime/dpu_set.hpp"
 #include "runtime/kernel_session.hpp"
-#include "runtime/pipeline.hpp"
 
 namespace pimdnn::ebnn {
 
@@ -110,30 +109,49 @@ private:
 };
 
 /// Result of a batched deep-eBNN DPU run.
-struct DeepEbnnBatchResult {
-  std::vector<int> predicted;
-  std::vector<std::vector<int>> features;
-  runtime::LaunchStats launch;
-  /// DPUs used (total across sub-launches when split).
-  std::uint32_t dpus_used = 0;
+struct DeepEbnnBatchResult : EbnnBatchResult {
   std::uint32_t images_per_dpu = 0; ///< derived from the WRAM budget
-  /// Measured host tail of this batch (unpack + FC + softmax; the whole
-  /// reference inference on a degraded batch).
-  Seconds host_tail_seconds = 0.0;
-  /// Sub-launches the batch was carved into (1 = the unsplit executor; >1
-  /// when the mapper chose a dual-bank split plan).
-  std::uint32_t split = 1;
 };
 
 /// Result of a double-buffered multi-batch deep-eBNN run.
-struct DeepEbnnPipelineResult {
-  /// Per-batch results, bit-identical to serial `run` calls.
-  std::vector<DeepEbnnBatchResult> batches;
-  /// Modeled overlapped timeline vs. the serial equivalent.
-  runtime::PipelineStats pipeline;
-  /// Independent reconstruction from the emitted `pipe.stage` spans;
-  /// present only when tracing was enabled for the run.
-  std::optional<obs::TimelineReport> timeline;
+using DeepEbnnPipelineResult = core::BatchPipelineResult<DeepEbnnBatchResult>;
+
+/// The deep eBNN kernel as core::BatchHost drives it: per-block weights
+/// and LUTs (flattened once into their WRAM images), the program, the
+/// golden model (the degraded path) and the FC tail, all fixed at
+/// construction. The images-per-DPU capacity comes from the WRAM budget.
+struct DeepEbnnBatchKernel {
+  using Result = DeepEbnnBatchResult;
+
+  DeepEbnnBatchKernel(const DeepEbnnConfig& cfg, DeepEbnnWeights weights,
+                      const runtime::UpmemConfig& sys);
+  /// `reference` and `spec.kernel_cycles` point into this object.
+  DeepEbnnBatchKernel(const DeepEbnnBatchKernel&) = delete;
+  DeepEbnnBatchKernel& operator=(const DeepEbnnBatchKernel&) = delete;
+
+  sim::DpuProgram build_program() const { return program; }
+  /// Weights and LUTs, only when the activation rebuilt or reloaded the
+  /// program.
+  void upload(runtime::KernelSession& session) const;
+  /// The golden model, bit-identical to the kernel.
+  void fallback(const core::Items& images, const core::BatchChunk& chunk,
+                Result& out) const;
+  /// Unpacks each image's feature bits and runs FC + softmax.
+  void tail(std::span<const std::uint32_t> words,
+            const core::BatchChunk& chunk, Result& out) const;
+  static void append(Result& whole, Result&& chunk) {
+    append_images(whole, std::move(chunk));
+  }
+
+  DeepEbnnConfig cfg;
+  DeepEbnnWeights weights;
+  DeepEbnnReference reference;
+  /// The per-image host tail (FC + softmax) over gathered feature bits.
+  FcTail fc_tail;
+  std::vector<std::uint32_t> conv_words; ///< every block's taps, in order
+  std::vector<std::uint8_t> lut_bytes;   ///< every block's BN LUT, in order
+  sim::DpuProgram program;
+  core::BatchSpec spec;
 };
 
 /// Host app mapping the deep network onto DPUs (LUT BN-BinAct only —
@@ -141,16 +159,20 @@ struct DeepEbnnPipelineResult {
 class DeepEbnnHost {
 public:
   DeepEbnnHost(const DeepEbnnConfig& cfg, DeepEbnnWeights weights,
-               const runtime::UpmemConfig& sys = sim::default_config());
+               const runtime::UpmemConfig& sys = sim::default_config())
+      : host_(sys, cfg, std::move(weights), sys) {}
 
-  /// Runs a batch. `n_tasklets = 0` (the historical default) asks
-  /// `map::Mapper` for the whole mapping — images per DPU and tasklets
-  /// from the cost-model search, PIMDNN_MAPPING honored; the paper mapping
-  /// fills the WRAM capacity with one tasklet per image slot. An explicit
-  /// count pins capacity-filling images with that many tasklets.
+  /// Runs a batch. `n_tasklets` defaults to the `map::Mapper` sentinel
+  /// (`map::kAutoTasklets`; 0 is its historical alias): images per DPU and
+  /// tasklets come from the cost-model search, PIMDNN_MAPPING honored; the
+  /// paper mapping fills the WRAM capacity with one tasklet per image
+  /// slot. An explicit count pins capacity-filling images with that many
+  /// tasklets.
   DeepEbnnBatchResult run(const std::vector<Image>& images,
-                          std::uint32_t n_tasklets = 0,
-                          runtime::OptLevel opt = runtime::OptLevel::O3);
+                          std::uint32_t n_tasklets = map::kAutoTasklets,
+                          runtime::OptLevel opt = runtime::OptLevel::O3) {
+    return host_.run(images, auto_alias(n_tasklets), opt);
+  }
 
   /// Runs `batches` double-buffered over two bank pools, exactly like
   /// EbnnHost::run_pipelined: batch i runs on bank i%2, its scatter
@@ -158,53 +180,26 @@ public:
   /// bit-identical to serial `run` calls on the same inputs.
   DeepEbnnPipelineResult run_pipelined(
       const std::vector<std::vector<Image>>& batches,
-      std::uint32_t n_tasklets = 0,
-      runtime::OptLevel opt = runtime::OptLevel::O3);
+      std::uint32_t n_tasklets = map::kAutoTasklets,
+      runtime::OptLevel opt = runtime::OptLevel::O3) {
+    return host_.run_pipelined(batches, auto_alias(n_tasklets), opt);
+  }
 
   /// Images one DPU can hold given the WRAM budget (1..16).
-  std::uint32_t images_per_dpu() const { return images_per_dpu_; }
+  std::uint32_t images_per_dpu() const {
+    return host_.kernel().spec.capacity;
+  }
 
   /// Cumulative host-side accounting of the host's pools across every
   /// batch run so far.
-  sim::HostXferStats pool_host_stats() const {
-    return banks_.host_stats();
-  }
+  sim::HostXferStats pool_host_stats() const { return host_.host_stats(); }
 
 private:
-  /// Resolves the (images_per_dpu, tasklets, split) mapping for a batch
-  /// of `n_images` against `pool`'s health picture. `max_split > 1` only
-  /// for a lone batch, whose split plan can use both banks.
-  map::MappingPlan resolve_batch_plan(runtime::DpuPool& pool,
-                                      std::size_t n_images,
-                                      std::uint32_t n_tasklets,
-                                      runtime::OptLevel opt,
-                                      std::uint32_t max_split);
+  static std::uint32_t auto_alias(std::uint32_t n_tasklets) {
+    return n_tasklets == 0 ? map::kAutoTasklets : n_tasklets;
+  }
 
-  runtime::PendingBatch start_batch(
-      runtime::DpuPool& pool, const std::vector<Image>& images,
-      std::size_t first, std::size_t count, const map::MappingPlan& plan,
-      runtime::OptLevel opt, runtime::PipelineModel* model, unsigned bank,
-      std::size_t item);
-
-  DeepEbnnBatchResult finish_batch(runtime::PendingBatch pending,
-                                   runtime::PipelineModel* model);
-
-  /// The one double-buffered loop behind run() and run_pipelined():
-  /// validates every image once, then runs map::run_batches over the two
-  /// banks (see EbnnHost::execute).
-  std::vector<DeepEbnnBatchResult> execute(
-      std::span<const std::vector<Image>> batches, std::uint32_t n_tasklets,
-      runtime::OptLevel opt, runtime::PipelineModel* model);
-
-  DeepEbnnConfig cfg_;
-  DeepEbnnWeights weights_;
-  runtime::UpmemConfig sys_;
-  std::vector<DeepBlockDims> dims_;
-  /// The per-image host tail (FC + softmax) over gathered feature bits.
-  FcTail tail_;
-  std::vector<BnBinactLut> luts_;
-  std::uint32_t images_per_dpu_;
-  runtime::DpuBanks banks_;
+  core::BatchHost<DeepEbnnBatchKernel> host_;
 };
 
 } // namespace pimdnn::ebnn

@@ -6,35 +6,33 @@
 // host parses each DPU's temporary results and serially runs the Softmax
 // tail per image.
 //
-// All host choreography goes through runtime::KernelSession: the program
-// is built once and cached by the host's pool, the conv weights and
-// BN-LUT are broadcast only when an activation rebuilt or reloaded the
-// program (warm batches re-send only the images + counts), results are
-// gathered in one batched transfer, and every batch's host-side overhead
-// lands in LaunchStats::host.
+// The host choreography is core::BatchHost's: the program is built once
+// and cached by the host's pool, the conv weights and BN-LUT are broadcast
+// only when an activation rebuilt or reloaded the program (warm batches
+// re-send only the images + counts), results are gathered in one batched
+// transfer, and every batch's host-side overhead lands in
+// LaunchStats::host. This file supplies the kernel: EbnnBatchKernel.
 //
 // `run_pipelined` double-buffers batches across two bank pools: batch i+1
 // is scattered onto the idle bank while batch i's kernel occupies the
-// other bank's DPUs (`KernelSession::launch_async`), so consecutive
-// batches' DPU phases overlap in the modeled timeline
-// (runtime::PipelineModel). Each bank's batches serialize and banks share
-// no mutable state, so outputs are bit-identical to serial `run` calls.
+// other bank's DPUs, so consecutive batches' DPU phases overlap in the
+// modeled timeline (runtime::PipelineModel). Each bank's batches serialize
+// and banks share no mutable state, so outputs are bit-identical to serial
+// `run` calls.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "core/batch_host.hpp"
 #include "ebnn/dpu_kernel.hpp"
 #include "ebnn/fc_tail.hpp"
 #include "ebnn/model.hpp"
 #include "map/plan.hpp"
-#include "obs/timeline.hpp"
-#include "runtime/dpu_pool.hpp"
 #include "runtime/dpu_set.hpp"
 #include "runtime/kernel_session.hpp"
-#include "runtime/pipeline.hpp"
 
 namespace pimdnn::ebnn {
 
@@ -61,14 +59,55 @@ struct EbnnBatchResult {
 };
 
 /// Result of a double-buffered multi-batch run.
-struct EbnnPipelineResult {
-  /// Per-batch results, bit-identical to serial `run` calls.
-  std::vector<EbnnBatchResult> batches;
-  /// Modeled overlapped timeline vs. the serial equivalent.
-  runtime::PipelineStats pipeline;
-  /// Independent reconstruction from the emitted `pipe.stage` spans;
-  /// present only when tracing was enabled for the run.
-  std::optional<obs::TimelineReport> timeline;
+using EbnnPipelineResult = core::BatchPipelineResult<EbnnBatchResult>;
+
+/// Appends a split chunk's per-image outputs (predictions and feature
+/// bits) to the whole batch's — the eBNN kernels' `append`.
+inline void append_images(EbnnBatchResult& whole, EbnnBatchResult&& chunk) {
+  whole.predicted.insert(whole.predicted.end(), chunk.predicted.begin(),
+                         chunk.predicted.end());
+  for (auto& f : chunk.features) {
+    whole.features.push_back(std::move(f));
+  }
+}
+
+/// The single-block eBNN kernel as core::BatchHost drives it: weights, the
+/// BN-BinAct stage, the golden model (the degraded path) and the FC tail,
+/// all fixed at construction.
+struct EbnnBatchKernel {
+  using Result = EbnnBatchResult;
+
+  EbnnBatchKernel(const EbnnConfig& cfg, EbnnWeights weights, BnMode mode,
+                  ConvKernel conv);
+  /// `reference` and `spec.kernel_cycles` point into this object.
+  EbnnBatchKernel(const EbnnBatchKernel&) = delete;
+  EbnnBatchKernel& operator=(const EbnnBatchKernel&) = delete;
+
+  sim::DpuProgram build_program() const;
+  /// Conv weights by broadcast_const; the BN LUT or soft-float parameters
+  /// only when the activation rebuilt or reloaded the program.
+  void upload(runtime::KernelSession& session) const;
+  /// The golden model, bit-identical to the kernel.
+  void fallback(const core::Items& images, const core::BatchChunk& chunk,
+                Result& out) const;
+  /// Unpacks each image's feature bits and runs FC + softmax.
+  void tail(std::span<const std::uint32_t> words,
+            const core::BatchChunk& chunk, Result& out) const;
+  static void append(Result& whole, Result&& chunk) {
+    append_images(whole, std::move(chunk));
+  }
+
+  EbnnConfig cfg;
+  EbnnWeights weights;
+  BnMode mode;
+  ConvKernel conv;
+  EbnnLayout layout;
+  /// The BN stage as broadcast: LUT bytes (HostLut) or W0..W4 floats.
+  std::vector<std::uint8_t> bn_bytes;
+  EbnnReference reference;
+  /// The per-image host tail (FC + softmax) over gathered feature bits.
+  FcTail fc_tail;
+  core::BatchSpec spec;
 };
 
 /// Host application that owns the weights and drives DPU batches.
@@ -78,7 +117,8 @@ public:
   /// `kernel` the convolution window-gather implementation.
   EbnnHost(const EbnnConfig& cfg, EbnnWeights weights, BnMode mode,
            const runtime::UpmemConfig& sys = sim::default_config(),
-           ConvKernel kernel = ConvKernel::Scalar);
+           ConvKernel kernel = ConvKernel::Scalar)
+      : host_(sys, cfg, std::move(weights), mode, kernel) {}
 
   /// Runs a batch of images. `n_tasklets` defaults to the `map::Mapper`
   /// sentinel: images-per-DPU and tasklets come from the cost-model search
@@ -87,7 +127,9 @@ public:
   /// simulated compiler optimization level.
   EbnnBatchResult run(const std::vector<Image>& images,
                       std::uint32_t n_tasklets = map::kAutoTasklets,
-                      runtime::OptLevel opt = runtime::OptLevel::O3);
+                      runtime::OptLevel opt = runtime::OptLevel::O3) {
+    return host_.run(images, n_tasklets, opt);
+  }
 
   /// Runs `batches` double-buffered over two bank pools (see file
   /// comment): batch i runs on bank i%2, its scatter overlapping the
@@ -97,71 +139,28 @@ public:
   EbnnPipelineResult run_pipelined(
       const std::vector<std::vector<Image>>& batches,
       std::uint32_t n_tasklets = map::kAutoTasklets,
-      runtime::OptLevel opt = runtime::OptLevel::O3);
+      runtime::OptLevel opt = runtime::OptLevel::O3) {
+    return host_.run_pipelined(batches, n_tasklets, opt);
+  }
 
   /// The configuration in use.
-  const EbnnConfig& config() const { return cfg_; }
+  const EbnnConfig& config() const { return host_.kernel().cfg; }
 
   /// The weights in use.
-  const EbnnWeights& weights() const { return weights_; }
+  const EbnnWeights& weights() const { return host_.kernel().weights; }
 
   /// The BN-BinAct mode in use.
-  BnMode mode() const { return mode_; }
+  BnMode mode() const { return host_.kernel().mode; }
 
   /// The convolution kernel variant in use.
-  ConvKernel kernel() const { return kernel_; }
+  ConvKernel kernel() const { return host_.kernel().conv; }
 
   /// Cumulative host-side accounting of the host's pools across every
   /// batch run so far.
-  sim::HostXferStats pool_host_stats() const {
-    return banks_.host_stats();
-  }
+  sim::HostXferStats pool_host_stats() const { return host_.host_stats(); }
 
 private:
-  /// Resolves the (images_per_dpu, tasklets, split) mapping for a batch of
-  /// `n_images` against `pool`'s health picture. `max_split > 1` only for
-  /// a lone batch, whose split plan can use both banks.
-  map::MappingPlan resolve_batch_plan(runtime::DpuPool& pool,
-                                      std::size_t n_images,
-                                      std::uint32_t n_tasklets,
-                                      runtime::OptLevel opt,
-                                      std::uint32_t max_split);
-
-  /// Broadcast + scatter + async launch of images [first, first + count)
-  /// on `pool` under the pre-resolved `plan`. When `model` is non-null,
-  /// the scatter's measured to-DPU + load walls are reported as item
-  /// `item`'s transfer stage on bank lane `bank`.
-  runtime::PendingBatch start_batch(
-      runtime::DpuPool& pool, const std::vector<Image>& images,
-      std::size_t first, std::size_t count, const map::MappingPlan& plan,
-      runtime::OptLevel opt, runtime::PipelineModel* model, unsigned bank,
-      std::size_t item);
-
-  /// Waits for the launch, gathers, and runs the host tail over the
-  /// pending sub-range. Reports the kernel's simulated wall, the gather
-  /// wall and the measured tail to `model` when non-null.
-  EbnnBatchResult finish_batch(runtime::PendingBatch pending,
-                               runtime::PipelineModel* model);
-
-  /// The one double-buffered loop behind run() and run_pipelined():
-  /// validates every image once, then runs map::run_batches over the two
-  /// banks — a lone batch as its plan's chunks, several batches
-  /// whole. Work item w reports its stages to `model` as item w when
-  /// model is non-null.
-  std::vector<EbnnBatchResult> execute(
-      std::span<const std::vector<Image>> batches, std::uint32_t n_tasklets,
-      runtime::OptLevel opt, runtime::PipelineModel* model);
-
-  EbnnConfig cfg_;
-  EbnnWeights weights_;
-  BnMode mode_;
-  ConvKernel kernel_;
-  EbnnLayout layout_;
-  BnBinactLut lut_;
-  EbnnReference reference_;
-  /// The per-image host tail (FC + softmax) over gathered feature bits.
-  FcTail tail_;
-  runtime::DpuBanks banks_;
+  core::BatchHost<EbnnBatchKernel> host_;
 };
 
 } // namespace pimdnn::ebnn

@@ -11,15 +11,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <span>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "map/constraints.hpp"
 #include "map/plan.hpp"
-#include "runtime/pipeline.hpp"
 
 namespace pimdnn::map {
 
@@ -60,62 +55,6 @@ struct ItemRange {
 std::vector<ItemRange> split_items(std::size_t n_items,
                                    std::uint32_t items_per_unit,
                                    std::uint32_t split);
-
-/// The batch hosts' double-buffered loop (ebnn::EbnnHost,
-/// ebnn::DeepEbnnHost, core::Offloader — `run` is one batch, `run_pipelined`
-/// many): runs `batches` on runtime::run_double_buffered, work item w on
-/// bank w%2, and returns one result per batch.
-///
-///  * A lone batch is planned once, `plan(0, n_items, kMaxSplitFactor)`,
-///    and its work items are the plan's chunks (split_items; one chunk when
-///    unsplit). Chunks finish in order, so `append(whole, chunk)` keeps
-///    input order; the result's `split` is the chunk count.
-///  * Several batches are one whole-batch item each, planned unsplit by
-///    `plan(bank, n_items, 1)` when they start (after their bank's previous
-///    batch finished, so the plan sees that bank's health picture).
-///
-/// `start(batch, first, count, plan, bank, w)` scatters and launches items
-/// [first, first + count) of `batch`; `finish(pending)` gathers them into a
-/// result.
-template <class Batch, class Plan, class Start, class Finish, class Append>
-auto run_batches(std::span<const Batch> batches, Plan&& plan, Start&& start,
-                 Finish&& finish, Append&& append) {
-  using Pending = std::invoke_result_t<Start&, const Batch&, std::size_t,
-                                       std::size_t, const MappingPlan&,
-                                       unsigned, std::size_t>;
-  using Result = std::invoke_result_t<Finish&, Pending&&>;
-  std::optional<MappingPlan> lone;
-  std::vector<ItemRange> chunks;
-  if (batches.size() == 1) {
-    lone = plan(0u, batches[0].size(), kMaxSplitFactor);
-    chunks = split_items(batches[0].size(), lone->items_per_dpu, lone->split);
-  }
-  std::vector<Result> out(batches.size());
-  std::size_t finished = 0; // finish runs in work order
-  runtime::run_double_buffered(
-      lone ? chunks.size() : batches.size(),
-      [&](std::size_t w, unsigned bank) {
-        if (lone) {
-          return start(batches[0], chunks[w].first, chunks[w].count, *lone,
-                       bank, w);
-        }
-        return start(batches[w], 0, batches[w].size(),
-                     plan(bank, batches[w].size(), 1u), bank, w);
-      },
-      [&](Pending&& p) {
-        const std::size_t w = finished++;
-        Result r = finish(std::move(p));
-        if (lone && w > 0) {
-          append(out[0], std::move(r));
-        } else {
-          out[lone ? 0 : w] = std::move(r);
-        }
-      });
-  if (lone) {
-    out[0].split = static_cast<std::uint32_t>(chunks.size());
-  }
-  return out;
-}
 
 /// Split-factor candidates: powers of two in [2, min(max_split,
 /// total_units, kMaxSplitFactor)]. Empty when no split is possible (fewer

@@ -302,29 +302,4 @@ private:
   double pred_xfer_seconds_ = 0.0;
 };
 
-/// One in-flight work item of a double-buffered batch host (ebnn::EbnnHost,
-/// ebnn::DeepEbnnHost, core::Offloader): its session, the waitable launch
-/// handle, and what the host's finish step needs to gather items
-/// [first, first + count) of `*items` — the whole batch, or one chunk of a
-/// split plan.
-struct PendingBatch {
-  std::unique_ptr<KernelSession> session;
-  KernelSession::LaunchHandle handle;
-  DpuPool* pool = nullptr;
-  const std::vector<std::vector<std::uint8_t>>* items = nullptr;
-  std::uint32_t n_dpus = 0;
-  /// Items per DPU and tasklets of the resolved mapping (the gather and a
-  /// degraded item's CPU path must group items exactly like the scatter).
-  std::uint32_t per_dpu = 0;
-  std::uint32_t n_tasklets = 0;
-  OptLevel opt = OptLevel::O3;
-  unsigned bank = 0;
-  std::size_t item = 0;
-  std::size_t first = 0;
-  std::size_t count = 0;
-
-  /// Waits out the launch (the executor's exception path).
-  bool wait() { return handle.wait(); }
-};
-
 } // namespace pimdnn::runtime

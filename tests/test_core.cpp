@@ -1,12 +1,14 @@
 // Tests for the core offload framework and the performance advisor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "core/advisor.hpp"
 #include "core/offloader.hpp"
 #include "ebnn/host.hpp"
 #include "ebnn/mnist_synth.hpp"
+#include "obs/trace.hpp"
 
 namespace pimdnn::core {
 namespace {
@@ -126,6 +128,33 @@ TEST(Offloader, ValidatesSpecAndUsage) {
   EXPECT_THROW(ok.run({}, 1), UsageError);
   EXPECT_THROW(ok.run(make_items(1), 5), UsageError); // > items_per_dpu
   EXPECT_THROW(ok.run({std::vector<std::uint8_t>(3)}, 1), UsageError);
+}
+
+// Every batch host's run opens one `<name>.batch` span around its work,
+// the Offloader's included.
+TEST(Offloader, RunOpensItsBatchSpan) {
+  Offloader off(scale_spec(), scale_kernel());
+  obs::Tracer::instance().enable(testing::TempDir() + "offload_batch.json");
+  off.run(make_items(10), 4);
+  obs::Tracer::instance().disable();
+  const auto evs = obs::Tracer::instance().snapshot();
+  const obs::TraceEvent* batch = nullptr;
+  const obs::TraceEvent* launch = nullptr;
+  for (const auto& e : evs) {
+    if (e.name == "offload.batch") batch = &e;
+    if (e.name == "launch") launch = &e;
+  }
+  ASSERT_NE(batch, nullptr);
+  ASSERT_NE(launch, nullptr);
+  EXPECT_EQ(batch->cat, "pipeline");
+  const auto n = std::find_if(batch->args.begin(), batch->args.end(),
+                              [](const auto& kv) {
+                                return kv.first == "n_items";
+                              });
+  ASSERT_NE(n, batch->args.end());
+  EXPECT_EQ(n->second, "10");
+  EXPECT_LE(batch->ts_us, launch->ts_us);
+  EXPECT_GE(batch->ts_us + batch->dur_us, launch->ts_us + launch->dur_us);
 }
 
 TEST(Offloader, LargeItemsMoveInChunkedDmas) {

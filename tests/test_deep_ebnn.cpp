@@ -186,6 +186,23 @@ TEST(DeepHost, DeeperCostsMoreCyclesPerImage) {
   }
 }
 
+// map::kAutoTasklets is the default, as on every batch host; 0 stays its
+// historical alias.
+TEST(DeepHost, AutoTaskletSentinelIsTheDefault) {
+  const auto cfg = depth_config(2, 8);
+  DeepEbnnHost host(cfg, DeepEbnnWeights::random(cfg, 71));
+  const auto data = images_only(make_synthetic_mnist(12, 72));
+  const auto dflt = host.run(data);
+  for (const std::uint32_t t : {map::kAutoTasklets, 0u}) {
+    const auto r = host.run(data, t);
+    EXPECT_EQ(r.predicted, dflt.predicted) << t;
+    EXPECT_EQ(r.features, dflt.features) << t;
+    EXPECT_EQ(r.images_per_dpu, dflt.images_per_dpu) << t;
+    EXPECT_EQ(r.launch.wall_cycles, dflt.launch.wall_cycles) << t;
+    EXPECT_EQ(r.dpus_used, dflt.dpus_used) << t;
+  }
+}
+
 TEST(DeepHost, ValidatesInputs) {
   const auto cfg = depth_config(1, 4);
   DeepEbnnHost host(cfg, DeepEbnnWeights::random(cfg, 61));
